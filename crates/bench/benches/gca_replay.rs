@@ -1,46 +1,16 @@
-//! Benchmark of the graph construction algorithm over synthetic histories —
-//! the dominant cost of a microquery's replay phase (§7.7).
+//! Benchmark of the graph construction algorithm over synthetic single-node
+//! logs — the dominant cost of a microquery's replay phase (§7.7).
 
-// Test code may unwrap: a panic is the assertion.
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
-
-use snp_bench::harness::bench;
-use snp_crypto::keys::NodeId;
-use snp_datalog::{Atom, Engine, Rule, RuleSet, Term, Tuple, Value};
-use snp_graph::history::{Event, EventKind, History};
-use snp_graph::GraphBuilder;
+use snp_bench::graph_workload::{machine, synthetic_segment};
+use snp_bench::harness::bench_batched;
+use snp_core::replay::replay_segment;
 use std::hint::black_box;
 
-fn rules() -> RuleSet {
-    RuleSet::new(vec![Rule::standard(
-        "R1",
-        Atom::new("reach", Term::var("X"), vec![Term::var("Y")]),
-        vec![Atom::new("link", Term::var("X"), vec![Term::var("Y")])],
-        vec![],
-    )])
-    .unwrap()
-}
-
-fn history(events: u64) -> History {
-    let mut h = History::new();
-    for i in 0..events {
-        let tuple = Tuple::new("link", NodeId(1), vec![Value::node(i + 2)]);
-        if i % 3 == 2 {
-            h.push(Event::new(i * 10, NodeId(1), EventKind::Del(tuple)));
-        } else {
-            h.push(Event::new(i * 10, NodeId(1), EventKind::Ins(tuple)));
-        }
-    }
-    h
-}
-
 fn main() {
-    for size in [100u64, 500] {
-        let h = history(size);
-        bench(&format!("gca_replay_{size}_events"), || {
-            let mut builder = GraphBuilder::new(1_000_000);
-            builder.register_machine(NodeId(1), Box::new(Engine::new(NodeId(1), rules())));
-            builder.build(black_box(&h))
+    for entries in [100usize, 500, 4_000] {
+        let segment = synthetic_segment(entries);
+        bench_batched(&format!("gca_replay_{entries}_entries"), machine, |expected| {
+            replay_segment(black_box(&segment), expected, 1_000_000)
         });
     }
 }

@@ -221,6 +221,28 @@ const GATES: &[Gate] = &[
         path: "scaling.rows.2.events",
         check: Check::Band,
     },
+    // graph: the per-entry cost of graph construction must not grow with
+    // the log.  `flatness_floor` is the per-entry replay cost of the
+    // synthetic single-node log at N entries over the cost at 8N: indexed
+    // lookups measure ≈ 0.7 (B-tree depth and cache misses), a GCA step that
+    // scans the graph measures ≈ 1/8.  The vertex counts of both replays are
+    // fully deterministic and pinned two-sided: a drift means the workload
+    // or the construction algorithm changed.
+    Gate {
+        file: "BENCH_graph.json",
+        path: "flatness_floor",
+        check: Check::Min(0.5),
+    },
+    Gate {
+        file: "BENCH_graph.json",
+        path: "sizes.0.vertices",
+        check: Check::Band,
+    },
+    Gate {
+        file: "BENCH_graph.json",
+        path: "sizes.1.vertices",
+        check: Check::Band,
+    },
     // rulecheck: the static rule analyzer's findings over the shipped app
     // programs are fully deterministic.  Errors and warnings are pinned as
     // one-sided costs against a 0 baseline, so a single new finding fails

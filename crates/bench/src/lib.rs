@@ -11,6 +11,7 @@
 //! | `fig8_query`       | Figure 8      | query turnaround time and downloaded bytes        |
 //! | `fig9_scalability` | Figure 9      | Chord per-node traffic / log growth vs. N         |
 //! | `fig_usability`    | §7.3          | does each forensic query identify the culprit?    |
+//! | `fig_graph`        | §7.7          | graph-build cost per log entry at N and 8N        |
 //!
 //! The library part contains the five workload configurations of §7.1 (scaled
 //! down so every harness completes in seconds on a laptop), shared metric
@@ -22,6 +23,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
 
 pub mod datalog_workload;
+pub mod graph_workload;
 pub mod harness;
 pub mod json;
 

@@ -71,8 +71,9 @@ pub trait Scenario {
 pub struct Flaw {
     /// What went wrong.
     pub message: String,
-    /// The provenance graph exhibiting the violation, if one was in hand.
-    pub graph: Option<ProvenanceGraph>,
+    /// The provenance graph exhibiting the violation, if one was in hand
+    /// (boxed: a flaw travels as the `Err` of every invariant check).
+    pub graph: Option<Box<ProvenanceGraph>>,
 }
 
 impl Flaw {
@@ -329,14 +330,14 @@ pub fn check_invariants(
         if audit.color == Color::Red && !byzantine.contains(&node) {
             return Err(Flaw {
                 message: format!("accuracy: clean node {node} audits red ({})", audit.notes.join("; ")),
-                graph: Some(deployment.querier.node_graph(node)),
+                graph: Some(Box::new(deployment.querier.node_graph(node))),
             });
         }
         let graph = deployment.querier.node_graph(node);
         if let Err(err) = check_accuracy(&graph, byzantine) {
             return Err(Flaw {
                 message: format!("accuracy at node {node}: {err}"),
-                graph: Some(graph),
+                graph: Some(Box::new(graph)),
             });
         }
     }
@@ -509,7 +510,7 @@ impl<'a> Explorer<'a> {
         let (choices, flaw) = best;
         Counterexample {
             message: flaw.message,
-            dot: flaw.graph.as_ref().map(crate::dot::render),
+            dot: flaw.graph.as_deref().map(crate::dot::render),
             schedule: Schedule {
                 scenario: self.scenario.name().to_string(),
                 choices,

@@ -53,7 +53,7 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
 fn flaw_with(graph: &snp_graph::ProvenanceGraph, message: String) -> Flaw {
     Flaw {
         message,
-        graph: Some(graph.clone()),
+        graph: Some(Box::new(graph.clone())),
     }
 }
 

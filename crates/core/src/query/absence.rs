@@ -133,8 +133,12 @@ impl Querier {
 
         while let Some(claim) = queue.pop_front() {
             let record = self.record_at(claim.node, window);
-            audits.insert(claim.node, record.audit.clone());
-            merged.union_in_place(&record.graph);
+            // A node enters `audits` exactly when its record graph enters
+            // `merged` (here, below, and in `expand_traversal`), and the
+            // union is idempotent: later claims on the same node skip it.
+            if audits.insert(claim.node, record.audit.clone()).is_none() {
+                merged.union_in_place(&record.graph);
+            }
             if record.audit.color != Color::Black {
                 // Nothing this node reports can be trusted; the claim stays
                 // unexpanded and carries the audit verdict.

@@ -436,7 +436,7 @@ fn audit_uncached(
         notes.push("missing ack excused by maintainer notification".into());
     }
 
-    if color == Color::Black && !graph.faulty_nodes().is_empty() && graph.faulty_nodes().contains(&node) {
+    if color == Color::Black && graph.vertices().any(|(_, v)| v.color == Color::Red && v.host() == node) {
         notes.push("replay revealed misbehavior (red vertices)".into());
         color = Color::Red;
     }

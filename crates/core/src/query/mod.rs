@@ -546,63 +546,60 @@ impl Querier {
             }
             _ => {}
         }
-        let at = query_time(&query);
-        let mut narrow = self.run_macroquery_at(query.clone(), host, scope, at);
-        if narrow.root.is_some() || at.is_some() {
-            return narrow;
-        }
-        let mut widened = self.run_macroquery_at(query, host, scope, Some(0));
-        if widened.root.is_none() {
-            // Still unanswered: report the combined cost of both passes.
-            merge_stats(&mut narrow.stats, &widened.stats);
-            return narrow;
-        }
-        merge_stats(&mut widened.stats, &narrow.stats);
-        widened
-    }
-
-    /// One pass of the macroquery processor at a fixed audit window: audit
-    /// the anchor host, then iteratively plan → execute → merge expansion
-    /// waves (traverse, find frontier vertices hosted on nodes not yet
-    /// audited, audit them — in parallel when configured — and fold their
-    /// subgraphs in) until fixpoint or scope.
-    fn run_macroquery_at(
-        &mut self,
-        query: MacroQuery,
-        host: NodeId,
-        scope: Option<usize>,
-        at: Option<Timestamp>,
-    ) -> QueryResult {
-        let stats_before = StatsMark::of(&self.stats);
         let direction = match query {
             MacroQuery::Effects { .. } => Direction::Effects,
             _ => Direction::Causes,
         };
-        let host_record = self.record_at(host, at);
-        let root = Self::locate_root(&query, host, &host_record.graph);
+        let at = query_time(&query);
+        let narrow_mark = StatsMark::of(&self.stats);
+        let narrow = self.record_at(host, at);
+        if let Some(root) = Self::locate_root(&query, host, &narrow.graph) {
+            return self.expand_from(root, direction, &narrow, scope, at, &narrow_mark);
+        }
+        let mut stats = diff_stats(&self.stats, &narrow_mark);
+        if at.is_none() {
+            let wide_mark = StatsMark::of(&self.stats);
+            let wide = self.record_at(host, Some(0));
+            if let Some(root) = Self::locate_root(&query, host, &wide.graph) {
+                let mut widened = self.expand_from(root, direction, &wide, scope, Some(0), &wide_mark);
+                merge_stats(&mut widened.stats, &stats);
+                return widened;
+            }
+            // Still unanswered: report the combined cost of both passes.
+            merge_stats(&mut stats, &diff_stats(&self.stats, &wide_mark));
+        }
+        QueryResult {
+            root: None,
+            graph: narrow.graph.clone(),
+            traversal: None,
+            audits: BTreeMap::from([(host, narrow.audit.clone())]),
+            stats,
+        }
+    }
+
+    /// One pass of the macroquery processor at a fixed audit window, once
+    /// the anchor vertex `root` has been located in the host's record: copy
+    /// the host's graph out of the shared record, then iteratively plan →
+    /// execute → merge expansion waves until fixpoint or scope.  `since`
+    /// marks the start of the pass, for its cost.
+    fn expand_from(
+        &mut self,
+        root: VertexId,
+        direction: Direction,
+        host_record: &AuditRecord,
+        scope: Option<usize>,
+        at: Option<Timestamp>,
+        since: &StatsMark,
+    ) -> QueryResult {
         let mut merged = host_record.graph.clone();
-        let mut audits = BTreeMap::new();
-        audits.insert(host, host_record.audit.clone());
-
-        let Some(root) = root else {
-            let delta = diff_stats(&self.stats, &stats_before);
-            return QueryResult {
-                root: None,
-                graph: merged,
-                traversal: None,
-                audits,
-                stats: delta,
-            };
-        };
-
+        let mut audits = BTreeMap::from([(host_record.audit.node, host_record.audit.clone())]);
         let traversal = self.expand_traversal(&mut merged, root, direction, scope, at, &mut audits);
-        let delta = diff_stats(&self.stats, &stats_before);
         QueryResult {
             root: Some(root),
             graph: merged,
             traversal: Some(traversal),
             audits,
-            stats: delta,
+            stats: diff_stats(&self.stats, since),
         }
     }
 

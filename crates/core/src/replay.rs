@@ -39,33 +39,43 @@ use std::collections::BTreeMap;
 /// * `ins` / `del` entries become `Ins` / `Del` events.
 pub fn history_from_entries<'a>(node: NodeId, entries: impl IntoIterator<Item = &'a LogEntry>) -> History {
     let mut history = History::new();
-    let mut sent: BTreeMap<Digest, Message> = BTreeMap::new();
+    // The `(from, to)` of each logged send, by message digest: an `ack` entry
+    // names only the digest it acknowledges.
+    let mut sent: BTreeMap<Digest, (NodeId, NodeId)> = BTreeMap::new();
     let mut ack_seq: u64 = 1_000_000; // synthetic sequence numbers for acks
+    let mut ack = |of: Digest, from: NodeId, to: NodeId, sent_at: Timestamp| {
+        let seq = ack_seq;
+        ack_seq += 1;
+        Message {
+            from,
+            to,
+            body: MessageBody::Ack { of },
+            sent_at,
+            seq,
+        }
+    };
     for entry in entries {
         let t: Timestamp = entry.timestamp;
         match &entry.kind {
             EntryKind::Snd { message } => {
-                sent.insert(message.digest(), message.clone());
-                history.push(Event::new(t, node, EventKind::Snd(message.clone())));
+                let event = Event::new(t, node, EventKind::Snd(message.clone()));
+                sent.insert(message_digest(&event, message), (message.from, message.to));
+                history.push(event);
             }
             EntryKind::Rcv { message, .. } => {
-                history.push(Event::new(t, node, EventKind::Rcv(message.clone())));
-                let ack = Message::ack(message, t, ack_seq);
-                ack_seq += 1;
-                history.push(Event::new(t, node, EventKind::Snd(ack)));
+                let event = Event::new(t, node, EventKind::Rcv(message.clone()));
+                let of = message_digest(&event, message);
+                history.push(event);
+                history.push(Event::new(
+                    t,
+                    node,
+                    EventKind::Snd(ack(of, message.to, message.from, t)),
+                ));
             }
             EntryKind::Ack { of, .. } => {
                 // Reconstruct the acknowledgment we received for message `of`.
-                if let Some(original) = sent.get(of) {
-                    let ack = Message {
-                        from: original.to,
-                        to: original.from,
-                        body: MessageBody::Ack { of: *of },
-                        sent_at: t,
-                        seq: ack_seq,
-                    };
-                    ack_seq += 1;
-                    history.push(Event::new(t, node, EventKind::Rcv(ack)));
+                if let Some((from, to)) = sent.get(of) {
+                    history.push(Event::new(t, node, EventKind::Rcv(ack(*of, *to, *from, t))));
                 }
             }
             EntryKind::Ins { tuple } => history.push(Event::new(t, node, EventKind::Ins(tuple.clone()))),
@@ -73,6 +83,13 @@ pub fn history_from_entries<'a>(node: NodeId, entries: impl IntoIterator<Item = 
         }
     }
     history
+}
+
+/// The digest of the message `event` was just built from: the one the event
+/// already computed for a tuple notification, so each logged message is
+/// hashed once per replay.
+fn message_digest(event: &Event, message: &Message) -> Digest {
+    event.delta_digest().unwrap_or_else(|| message.digest())
 }
 
 /// Convert a log segment into the node-local history it claims to describe.

@@ -25,7 +25,7 @@ use crate::vertex::{Color, Timestamp, Vertex, VertexId, VertexKind};
 use snp_crypto::keys::NodeId;
 use snp_crypto::Digest;
 use snp_datalog::{EvalMetrics, Polarity, SmInput, SmOutput, StateMachine, Tuple, TupleDelta};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An entry of the `pending` set: a send the machine produced that has not
 /// yet been matched by a `snd` event in the history.
@@ -35,6 +35,7 @@ struct PendingSend {
     to: NodeId,
     delta: TupleDelta,
     vertex: VertexId,
+    sent_at: Timestamp,
 }
 
 /// An entry of the `ackpend` set: a `receive` vertex whose acknowledgment has
@@ -46,15 +47,6 @@ struct AckPending {
     vertex: VertexId,
 }
 
-/// An entry of the `unacked` set: a `send` vertex for which no acknowledgment
-/// has been received yet.
-#[derive(Clone, Debug)]
-struct Unacked {
-    node: NodeId,
-    vertex: VertexId,
-    sent_at: Timestamp,
-}
-
 /// The graph construction algorithm.
 pub struct GraphBuilder {
     graph: ProvenanceGraph,
@@ -64,9 +56,17 @@ pub struct GraphBuilder {
     t_prop: Timestamp,
     pending: Vec<PendingSend>,
     ackpend: Vec<AckPending>,
-    unacked: Vec<Unacked>,
-    nopreds: Vec<VertexId>,
-    /// Messages seen so far (by digest), used to resolve acknowledgments.
+    /// The `unacked` set: `send` vertices no acknowledgment has been received
+    /// for yet, as `(sender, sent_at, vertex)` — all three are identity
+    /// fields of the vertex — so the sends of one node that have waited past
+    /// a deadline are one range.  Replaying a single node's log leaves one
+    /// entry per remote `send` stub here (only their own node's events could
+    /// settle them), so this set grows with the history.
+    unacked: BTreeSet<(NodeId, Timestamp, VertexId)>,
+    /// The `nopreds` set: `send` vertices without an incoming edge yet.
+    nopreds: BTreeSet<VertexId>,
+    /// Tuple notifications seen so far (by digest), used to resolve
+    /// acknowledgments.
     seen_messages: BTreeMap<Digest, Message>,
     /// Whether the history is *quiescent* (Appendix C.2): it is complete, so a
     /// send the machine produced that never appears as a `snd` event is
@@ -104,8 +104,8 @@ impl GraphBuilder {
             t_prop,
             pending: Vec::new(),
             ackpend: Vec::new(),
-            unacked: Vec::new(),
-            nopreds: Vec::new(),
+            unacked: BTreeSet::new(),
+            nopreds: BTreeSet::new(),
             seen_messages: BTreeMap::new(),
             quiescent: false,
         }
@@ -197,20 +197,20 @@ impl GraphBuilder {
         }
         for entry in std::mem::take(&mut self.pending) {
             self.graph.set_color(entry.vertex, Color::Red);
-            self.unacked.retain(|u| u.vertex != entry.vertex);
+            self.unacked.remove(&(entry.node, entry.sent_at, entry.vertex));
         }
     }
 
     /// Process a single event (main loop of Appendix B.1).
     pub fn step(&mut self, event: &Event) {
-        let Event { time, node, kind } = event;
-        match kind {
+        let Event { time, node, .. } = event;
+        match event.kind() {
             EventKind::Snd(m) => {
-                self.handle_event_snd(*node, m, *time);
+                self.handle_event_snd(event, m);
                 // snd events are not fed to the state machine.
             }
             EventKind::Rcv(m) => {
-                self.handle_event_rcv(*node, m, *time);
+                self.handle_event_rcv(event, m);
                 if let MessageBody::Delta(delta) = &m.body {
                     let outputs = self.feed_machine(
                         *node,
@@ -353,16 +353,19 @@ impl GraphBuilder {
         self.pending = keep;
         for entry in stale {
             self.graph.set_color(entry.vertex, Color::Red);
-            self.unacked.retain(|u| u.vertex != entry.vertex);
+            self.unacked.remove(&(entry.node, entry.sent_at, entry.vertex));
         }
         // Sends that have waited longer than 2·Tprop for an acknowledgment.
         let deadline = time.saturating_sub(2 * self.t_prop);
-        let (expired, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.unacked)
-            .into_iter()
-            .partition(|u| u.node == node && u.sent_at < deadline);
-        self.unacked = keep;
+        let first_id = VertexId(Digest::ZERO);
+        let expired: Vec<_> = self
+            .unacked
+            .range((node, 0, first_id)..(node, deadline, first_id))
+            .copied()
+            .collect();
         for entry in expired {
-            self.graph.set_color(entry.vertex, Color::Red);
+            self.graph.set_color(entry.2, Color::Red);
+            self.unacked.remove(&entry);
         }
     }
 
@@ -392,28 +395,24 @@ impl GraphBuilder {
         };
         let id = kind.identity();
         if !self.graph.contains(&id) {
-            self.graph.upsert(Vertex::new(kind, Color::Yellow));
-            self.nopreds.push(id);
-            self.unacked.push(Unacked {
-                node: from,
-                vertex: id,
-                sent_at: time,
-            });
+            self.graph.upsert_as(id, Vertex::new(kind, Color::Yellow));
+            self.nopreds.insert(id);
+            self.unacked.insert((from, time, id));
         }
         if let Some(why) = vwhy {
-            if let Some(pos) = self.nopreds.iter().position(|v| *v == id) {
+            if self.nopreds.remove(&id) {
                 self.graph.add_edge(why, id);
-                self.nopreds.remove(pos);
             }
         }
         id
     }
 
-    fn add_receive_vertex(&mut self, m: &Message, time: Timestamp) -> Option<VertexId> {
-        let delta = m.as_delta()?.clone();
+    /// Returns the `(send, receive)` vertex pair of the notification `m`.
+    fn add_receive_vertex(&mut self, m: &Message, time: Timestamp) -> Option<(VertexId, VertexId)> {
+        let delta = m.as_delta()?;
         // Ensure the remote send vertex exists (it may not, if the sender's
         // events are not part of the history we are replaying).
-        self.add_send_vertex(m.from, m.to, &delta, None, m.sent_at);
+        let send = self.add_send_vertex(m.from, m.to, delta, None, m.sent_at);
         let kind = VertexKind::Receive {
             node: m.to,
             peer: m.from,
@@ -422,21 +421,16 @@ impl GraphBuilder {
         };
         let id = kind.identity();
         if !self.graph.contains(&id) {
-            self.graph.upsert(Vertex::new(kind, Color::Yellow));
+            self.graph.upsert_as(id, Vertex::new(kind, Color::Yellow));
         }
-        if let Some(send) = self
-            .graph
-            .find_send(m.from, m.to, &delta.tuple, delta.polarity, Some(m.sent_at))
-        {
-            self.graph.add_edge(send, id);
-        }
-        Some(id)
+        self.graph.add_edge(send, id);
+        Some((send, id))
     }
 
     fn add_red_unless_present(&mut self, kind: VertexKind) {
         let id = kind.identity();
         if !self.graph.contains(&id) {
-            self.graph.upsert(Vertex::new(kind, Color::Red));
+            self.graph.upsert_as(id, Vertex::new(kind, Color::Red));
         }
     }
 
@@ -468,8 +462,8 @@ impl GraphBuilder {
         self.disappear_local_tuple(node, tuple, v1, time);
     }
 
-    fn handle_event_snd(&mut self, node: NodeId, m: &Message, _time: Timestamp) {
-        self.seen_messages.insert(m.digest(), m.clone());
+    fn handle_event_snd(&mut self, event: &Event, m: &Message) {
+        let node = event.node;
         match &m.body {
             MessageBody::Ack { of } => {
                 // The node acknowledges a message it received earlier: the
@@ -484,6 +478,9 @@ impl GraphBuilder {
                 }
             }
             MessageBody::Delta(delta) => {
+                if let Some(digest) = event.delta_digest() {
+                    self.seen_messages.insert(digest, m.clone());
+                }
                 match self
                     .pending
                     .iter()
@@ -497,7 +494,7 @@ impl GraphBuilder {
                         // The node sent a message its state machine never
                         // produced: red send vertex (Lemma 3, cases 1 and 3).
                         let v2 = self.add_send_vertex(node, m.to, delta, None, m.sent_at);
-                        self.unacked.retain(|u| u.vertex != v2);
+                        self.unacked.remove(&(node, m.sent_at, v2));
                         self.graph.set_color(v2, Color::Red);
                     }
                 }
@@ -506,9 +503,9 @@ impl GraphBuilder {
         self.flag_ackpend(node);
     }
 
-    fn handle_event_rcv(&mut self, node: NodeId, m: &Message, time: Timestamp) {
+    fn handle_event_rcv(&mut self, event: &Event, m: &Message) {
+        let Event { time, node, .. } = *event;
         self.flag_all_pending(node, time);
-        self.seen_messages.insert(m.digest(), m.clone());
         match &m.body {
             MessageBody::Ack { of } => {
                 let Some(original) = self.seen_messages.get(of).cloned() else {
@@ -516,27 +513,21 @@ impl GraphBuilder {
                 };
                 // Evidence that the peer received our message: create its
                 // receive vertex and turn our send vertex black.
-                self.add_receive_vertex(&original, m.sent_at);
-                if let Some(delta) = original.as_delta() {
-                    if let Some(send) = self.graph.find_send(
-                        original.from,
-                        original.to,
-                        &delta.tuple,
-                        delta.polarity,
-                        Some(original.sent_at),
-                    ) {
-                        if let Some(pos) = self.unacked.iter().position(|u| u.node == node && u.vertex == send) {
-                            self.unacked.remove(pos);
-                            self.graph.set_color(send, Color::Black);
-                        }
+                if let Some((send, _)) = self.add_receive_vertex(&original, m.sent_at) {
+                    if original.from == node && self.unacked.remove(&(node, original.sent_at, send)) {
+                        self.graph.set_color(send, Color::Black);
                     }
                 }
             }
             MessageBody::Delta(delta) => {
-                if let Some(v1) = self.add_receive_vertex(m, time) {
+                let Some(digest) = event.delta_digest() else {
+                    return;
+                };
+                self.seen_messages.insert(digest, m.clone());
+                if let Some((_, v1)) = self.add_receive_vertex(m, time) {
                     self.ackpend.push(AckPending {
                         node,
-                        original_digest: m.digest(),
+                        original_digest: digest,
                         vertex: v1,
                     });
                     match delta.polarity {
@@ -633,6 +624,7 @@ impl GraphBuilder {
             to,
             delta,
             vertex: v1,
+            sent_at: time,
         });
     }
 

@@ -1,9 +1,47 @@
 //! The provenance graph and the operations from Appendix B.2.
+//!
+//! # The `(host, tuple)` index
+//!
+//! Every lookup the graph construction algorithm makes asks about one tuple
+//! on one node ("the open `exist` of τ on i", "the `send` of ±τ from i to
+//! j"), so the graph keeps a secondary index from `(host(v), tuple(v))` to
+//! the vertices about that tuple and answers those lookups from one bucket
+//! instead of scanning `V`.
+//!
+//! * **What is keyed.**  Identity fields only: the hosting node and the
+//!   tuple.  The interval end (`until`) and the colour are the two things
+//!   that change after a vertex is inserted, so they are never part of a
+//!   key — `close_interval`, `set_color` and `force_color` leave the index
+//!   untouched, and lookups test them on the vertex itself.
+//! * **Compact form.**  An entry is two words: a 64-bit hash of
+//!   `(host, tuple)` and the first 64 bits of the `VertexId`.  A lookup walks
+//!   the entries of one hash in ascending order, resolves each id prefix to
+//!   the vertices carrying it (a range of the id-ordered vertex map), and
+//!   keeps those whose host and tuple really are the ones asked for.  A hash
+//!   or prefix collision therefore only adds a candidate that the comparison
+//!   rejects; it can never change a result.  Cost: 16 bytes per vertex in a
+//!   `BTreeSet` (≈ 20–25 bytes resident with B-tree slack), against a few
+//!   hundred bytes for the vertex, its tuple and its edges.
+//! * **Order.**  Buckets are walked in ascending `VertexId` order and every
+//!   lookup returns the first (or, where stated, the latest) match, which is
+//!   exactly what a scan of the id-ordered vertex map restricted to the same
+//!   `(host, tuple)` returns.
+//!
+//! `upsert`, `union_in_place` and `project` are the only ways a vertex
+//! enters a graph, and each adds its index entry.  The pattern lookups of
+//! negative provenance (`*_matching*`, `present_tuples_at`) take wildcard
+//! patterns, which have no single bucket; they scan, once per absence claim.
 
 use crate::vertex::{Color, Timestamp, Vertex, VertexId, VertexKind};
 use snp_crypto::keys::NodeId;
+use snp_crypto::Digest;
 use snp_datalog::{Polarity, Tuple};
+use std::collections::btree_map::Entry;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::BuildHasher;
+use std::ops::RangeInclusive;
+use std::sync::OnceLock;
 
 /// Table 1 of the paper: which edge types may appear in the graph.
 ///
@@ -66,6 +104,42 @@ pub struct ProvenanceGraph {
     edges: BTreeSet<(VertexId, VertexId)>,
     /// Reverse adjacency for successor queries.
     reverse: BTreeSet<(VertexId, VertexId)>,
+    /// `(bucket(host, tuple), id prefix)` for every vertex (module docs).
+    index: BTreeSet<(u64, u64)>,
+}
+
+/// The index bucket of the vertices about `tuple` on `host`.  Keyed per
+/// process: tuples come out of audited nodes' logs, and an unkeyed hash
+/// would let a node craft tuples that pile into one bucket.  Results never
+/// depend on the key, only on which vertices share a bucket.
+fn bucket(host: NodeId, tuple: &Tuple) -> u64 {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new).hash_one((host, tuple))
+}
+
+/// All ids whose first 64 bits are `prefix`.
+fn ids_with_prefix(prefix: u64) -> RangeInclusive<VertexId> {
+    let (mut lo, mut hi) = ([0u8; 32], [0xffu8; 32]);
+    lo[..8].copy_from_slice(&prefix.to_be_bytes());
+    hi[..8].copy_from_slice(&prefix.to_be_bytes());
+    VertexId(Digest(lo))..=VertexId(Digest(hi))
+}
+
+/// Appendix B.2's vertex merge: the dominant colour wins, and of two
+/// interval ends a closed one beats an open one and the earlier beats the
+/// later.
+fn merge_vertex(existing: &mut Vertex, other: &Vertex) {
+    existing.color = existing.color.dominant(other.color);
+    if let (
+        VertexKind::Exist { until: mine, .. } | VertexKind::Believe { until: mine, .. },
+        VertexKind::Exist { until: theirs, .. } | VertexKind::Believe { until: theirs, .. },
+    ) = (&mut existing.kind, &other.kind)
+    {
+        *mine = match (*mine, *theirs) {
+            (Some(x), Some(y)) => Some(x.min(y)),
+            (x, y) => x.or(y),
+        };
+    }
 }
 
 impl ProvenanceGraph {
@@ -95,35 +169,22 @@ impl ProvenanceGraph {
     /// otherwise the vertex is added as-is.  Returns its id.
     pub fn upsert(&mut self, vertex: Vertex) -> VertexId {
         let id = vertex.id();
-        match self.vertices.get_mut(&id) {
-            Some(existing) => {
-                existing.color = existing.color.dominant(vertex.color);
-                // Interval intersection: a closed interval wins over an open one,
-                // and of two closed ones the earlier end wins.
-                let new_until = match (&existing.kind, &vertex.kind) {
-                    (
-                        VertexKind::Exist { until: a, .. } | VertexKind::Believe { until: a, .. },
-                        VertexKind::Exist { until: b, .. } | VertexKind::Believe { until: b, .. },
-                    ) => match (a, b) {
-                        (Some(x), Some(y)) => Some(Some(*x.min(y))),
-                        (Some(x), None) => Some(Some(*x)),
-                        (None, Some(y)) => Some(Some(*y)),
-                        (None, None) => Some(None),
-                    },
-                    _ => None,
-                };
-                if let Some(until) = new_until {
-                    match &mut existing.kind {
-                        VertexKind::Exist { until: u, .. } | VertexKind::Believe { until: u, .. } => *u = until,
-                        _ => {}
-                    }
-                }
-            }
-            None => {
-                self.vertices.insert(id, vertex);
+        self.upsert_as(id, vertex);
+        id
+    }
+
+    /// [`ProvenanceGraph::upsert`] for a caller that already computed
+    /// `vertex.id()` and passes it as `id`, so the identity is hashed once.
+    pub(crate) fn upsert_as(&mut self, id: VertexId, vertex: Vertex) {
+        debug_assert_eq!(id, vertex.id(), "upsert_as: id is not the vertex's identity");
+        match self.vertices.entry(id) {
+            Entry::Occupied(existing) => merge_vertex(existing.into_mut(), &vertex),
+            Entry::Vacant(slot) => {
+                self.index
+                    .insert((bucket(vertex.host(), vertex.kind.tuple()), id.0.to_u64()));
+                slot.insert(vertex);
             }
         }
-        id
     }
 
     /// Set (upgrade) the color of a vertex.  Downgrades are ignored, matching
@@ -251,61 +312,72 @@ impl ProvenanceGraph {
 
     // ----- lookups used by the graph construction algorithm ----------------
 
-    fn find_kind(&self, f: impl Fn(&VertexKind) -> bool) -> Option<VertexId> {
-        self.vertices.iter().find(|(_, v)| f(&v.kind)).map(|(id, _)| *id)
+    /// The vertices about `tuple` hosted on `host`, in ascending id order.
+    fn about<'a>(&'a self, host: NodeId, tuple: &'a Tuple) -> impl Iterator<Item = (VertexId, &'a Vertex)> + 'a {
+        let bucket = bucket(host, tuple);
+        self.index
+            .range((bucket, 0)..=(bucket, u64::MAX))
+            .flat_map(move |(_, prefix)| self.vertices.range(ids_with_prefix(*prefix)))
+            .filter(move |(_, v)| v.host() == host && v.kind.tuple() == tuple)
+            .map(|(id, v)| (*id, v))
+    }
+
+    /// The first vertex (in id order) about `tuple` on `host` whose kind
+    /// satisfies `f`.
+    fn first_about(&self, host: NodeId, tuple: &Tuple, f: impl Fn(&VertexKind) -> bool) -> Option<VertexId> {
+        self.about(host, tuple).find(|(_, v)| f(&v.kind)).map(|(id, _)| id)
     }
 
     /// The open `exist` vertex for a tuple on a node, if any.
     pub fn open_exist(&self, node: NodeId, tuple: &Tuple) -> Option<VertexId> {
-        self.find_kind(
-            |k| matches!(k, VertexKind::Exist { node: n, tuple: t, until: None, .. } if *n == node && t == tuple),
-        )
+        self.first_about(node, tuple, |k| matches!(k, VertexKind::Exist { until: None, .. }))
     }
 
     /// The open `believe` vertex for a tuple on a node (from any peer).
     pub fn open_believe(&self, node: NodeId, tuple: &Tuple) -> Option<VertexId> {
-        self.find_kind(
-            |k| matches!(k, VertexKind::Believe { node: n, tuple: t, until: None, .. } if *n == node && t == tuple),
-        )
+        self.first_about(node, tuple, |k| matches!(k, VertexKind::Believe { until: None, .. }))
     }
 
     /// The `appear` vertex for a tuple on a node at exactly `time`.
     pub fn appear_at(&self, node: NodeId, tuple: &Tuple, time: Timestamp) -> Option<VertexId> {
-        self.find_kind(|k| {
-            matches!(k, VertexKind::Appear { node: n, tuple: t, time: tt } if *n == node && t == tuple && *tt == time)
-        })
+        self.first_about(
+            node,
+            tuple,
+            |k| matches!(k, VertexKind::Appear { time: t, .. } if *t == time),
+        )
     }
 
     /// The `disappear` vertex for a tuple on a node at exactly `time`.
     pub fn disappear_at(&self, node: NodeId, tuple: &Tuple, time: Timestamp) -> Option<VertexId> {
-        self.find_kind(|k| {
-            matches!(k, VertexKind::Disappear { node: n, tuple: t, time: tt } if *n == node && t == tuple && *tt == time)
-        })
+        self.first_about(
+            node,
+            tuple,
+            |k| matches!(k, VertexKind::Disappear { time: t, .. } if *t == time),
+        )
     }
 
     /// The `believe-appear` vertex for a tuple on a node at exactly `time`.
     pub fn believe_appear_at(&self, node: NodeId, tuple: &Tuple, time: Timestamp) -> Option<VertexId> {
-        self.find_kind(|k| {
-            matches!(k, VertexKind::BelieveAppear { node: n, tuple: t, time: tt, .. } if *n == node && t == tuple && *tt == time)
-        })
+        self.first_about(
+            node,
+            tuple,
+            |k| matches!(k, VertexKind::BelieveAppear { time: t, .. } if *t == time),
+        )
     }
 
     /// The `believe-disappear` vertex for a tuple on a node at exactly `time`.
     pub fn believe_disappear_at(&self, node: NodeId, tuple: &Tuple, time: Timestamp) -> Option<VertexId> {
-        self.find_kind(|k| {
-            matches!(k, VertexKind::BelieveDisappear { node: n, tuple: t, time: tt, .. } if *n == node && t == tuple && *tt == time)
-        })
+        self.first_about(
+            node,
+            tuple,
+            |k| matches!(k, VertexKind::BelieveDisappear { time: t, .. } if *t == time),
+        )
     }
 
     /// The `exist` vertex (open or closed) covering a tuple at a given time.
     pub fn exist_covering(&self, node: NodeId, tuple: &Tuple, time: Timestamp) -> Option<VertexId> {
-        self.find_kind(|k| match k {
-            VertexKind::Exist {
-                node: n,
-                tuple: t,
-                from,
-                until,
-            } if *n == node && t == tuple => *from <= time && until.map(|u| time <= u).unwrap_or(true),
+        self.first_about(node, tuple, |k| match k {
+            VertexKind::Exist { from, until, .. } => *from <= time && until.map(|u| time <= u).unwrap_or(true),
             _ => false,
         })
     }
@@ -319,34 +391,24 @@ impl ProvenanceGraph {
         polarity: Polarity,
         time: Option<Timestamp>,
     ) -> Option<VertexId> {
-        self.find_kind(|k| match k {
+        self.first_about(node, tuple, |k| match k {
             VertexKind::Send {
-                node: n,
                 peer: p,
                 delta,
                 time: t,
-            } => {
-                *n == node
-                    && *p == peer
-                    && delta.tuple == *tuple
-                    && delta.polarity == polarity
-                    && time.map(|x| x == *t).unwrap_or(true)
-            }
+                ..
+            } => *p == peer && delta.polarity == polarity && time.map(|x| x == *t).unwrap_or(true),
             _ => false,
         })
     }
 
     /// Find a `receive` vertex for a specific notification (any timestamp).
     pub fn find_receive(&self, node: NodeId, peer: NodeId, tuple: &Tuple, polarity: Polarity) -> Option<VertexId> {
-        self.find_kind(|k| match k {
-            VertexKind::Receive {
-                node: n,
-                peer: p,
-                delta,
-                ..
-            } => *n == node && *p == peer && delta.tuple == *tuple && delta.polarity == polarity,
-            _ => false,
-        })
+        self.first_about(
+            node,
+            tuple,
+            |k| matches!(k, VertexKind::Receive { peer: p, delta, .. } if *p == peer && delta.polarity == polarity),
+        )
     }
 
     // ----- pattern lookups used by negative provenance ----------------------
@@ -364,22 +426,25 @@ impl ProvenanceGraph {
     /// `pattern` whose interval covers `at` (`None` = now).  This is the
     /// querier's presence test for `why_absent`.
     pub fn existence_matching(&self, node: NodeId, pattern: &Tuple, at: Option<Timestamp>) -> Option<VertexId> {
-        self.find_kind(|k| match k {
-            VertexKind::Exist {
-                node: n,
-                tuple,
-                from,
-                until,
-            }
-            | VertexKind::Believe {
-                node: n,
-                tuple,
-                from,
-                until,
-                ..
-            } => *n == node && pattern.covers(tuple) && Self::interval_covers(*from, *until, at),
-            _ => false,
-        })
+        self.vertices
+            .iter()
+            .find(|(_, v)| match &v.kind {
+                VertexKind::Exist {
+                    node: n,
+                    tuple,
+                    from,
+                    until,
+                }
+                | VertexKind::Believe {
+                    node: n,
+                    tuple,
+                    from,
+                    until,
+                    ..
+                } => *n == node && pattern.covers(tuple) && Self::interval_covers(*from, *until, at),
+                _ => false,
+            })
+            .map(|(id, _)| *id)
     }
 
     /// The latest `disappear` / `believe-disappear` vertex on `node` for a
@@ -510,13 +575,19 @@ impl ProvenanceGraph {
     /// union, so the merged graph is independent of the order subgraphs
     /// arrive in.
     pub fn union_in_place(&mut self, other: &ProvenanceGraph) {
-        for (_, vertex) in other.vertices() {
-            self.upsert(vertex.clone());
+        // `other` already holds each vertex under its id and each index
+        // entry under its bucket: nothing is re-hashed.
+        for (id, vertex) in &other.vertices {
+            match self.vertices.entry(*id) {
+                Entry::Occupied(existing) => merge_vertex(existing.into_mut(), vertex),
+                Entry::Vacant(slot) => {
+                    slot.insert(vertex.clone());
+                }
+            }
         }
-        for (from, to) in other.edges() {
-            self.edges.insert((*from, *to));
-            self.reverse.insert((*to, *from));
-        }
+        self.index.extend(&other.index);
+        self.edges.extend(&other.edges);
+        self.reverse.extend(&other.reverse);
     }
 
     /// Deterministic merge of per-node partial graphs: the parts are merged
@@ -549,7 +620,7 @@ impl ProvenanceGraph {
             .map(|(id, _)| *id)
             .collect();
         for id in &local {
-            out.vertices.insert(*id, self.vertices[id].clone());
+            out.upsert_as(*id, self.vertices[id].clone());
         }
         for (from, to) in &self.edges {
             let from_local = local.contains(from);
@@ -560,10 +631,10 @@ impl ProvenanceGraph {
             for (endpoint, is_local) in [(from, from_local), (to, to_local)] {
                 if !is_local {
                     let vertex = &self.vertices[endpoint];
-                    if matches!(vertex.kind, VertexKind::Send { .. } | VertexKind::Receive { .. }) {
-                        out.vertices
-                            .entry(*endpoint)
-                            .or_insert_with(|| Vertex::new(vertex.kind.clone(), Color::Yellow));
+                    if matches!(vertex.kind, VertexKind::Send { .. } | VertexKind::Receive { .. })
+                        && !out.vertices.contains_key(endpoint)
+                    {
+                        out.upsert_as(*endpoint, Vertex::new(vertex.kind.clone(), Color::Yellow));
                     }
                 }
             }
@@ -807,6 +878,248 @@ mod tests {
         assert_eq!(g.open_exist(NodeId(1), &tup(1)), None);
         assert_eq!(g.exist_covering(NodeId(1), &tup(1), 100), None);
         assert_eq!(g.exist_covering(NodeId(1), &tup(1), 30), Some(e));
+    }
+
+    /// The lookups as they were before the index: one scan of all vertices
+    /// in id order, comparing host and tuple on each.
+    fn scan(g: &ProvenanceGraph, f: impl Fn(&VertexKind) -> bool) -> Option<VertexId> {
+        g.vertices().find(|(_, v)| f(&v.kind)).map(|(id, _)| *id)
+    }
+
+    /// Every keyed lookup, over the whole vocabulary, against [`scan`].
+    fn assert_lookups_match_scan(g: &ProvenanceGraph, nodes: &[NodeId], tuples: &[Tuple], times: u64, step: &str) {
+        assert_eq!(g.index.len(), g.vertices.len(), "{step}: one index entry per vertex");
+        for &node in nodes {
+            for tuple in tuples {
+                assert_eq!(
+                    g.open_exist(node, tuple),
+                    scan(
+                        g,
+                        |k| matches!(k, VertexKind::Exist { node: n, tuple: t, until: None, .. } if *n == node && t == tuple)
+                    ),
+                    "{step}: open_exist({node}, {tuple})"
+                );
+                assert_eq!(
+                    g.open_believe(node, tuple),
+                    scan(
+                        g,
+                        |k| matches!(k, VertexKind::Believe { node: n, tuple: t, until: None, .. } if *n == node && t == tuple)
+                    ),
+                    "{step}: open_believe({node}, {tuple})"
+                );
+                for &peer in nodes {
+                    for polarity in [Polarity::Plus, Polarity::Minus] {
+                        let send = |time: Option<Timestamp>| {
+                            scan(g, |k| {
+                                matches!(k, VertexKind::Send { node: n, peer: p, delta, time: t }
+                                if *n == node && *p == peer && delta.tuple == *tuple && delta.polarity == polarity
+                                    && time.map_or(true, |x| x == *t))
+                            })
+                        };
+                        assert_eq!(
+                            g.find_send(node, peer, tuple, polarity, None),
+                            send(None),
+                            "{step}: find_send"
+                        );
+                        for time in 0..times {
+                            assert_eq!(
+                                g.find_send(node, peer, tuple, polarity, Some(time)),
+                                send(Some(time)),
+                                "{step}: find_send at {time}"
+                            );
+                        }
+                        assert_eq!(
+                            g.find_receive(node, peer, tuple, polarity),
+                            scan(g, |k| matches!(k, VertexKind::Receive { node: n, peer: p, delta, .. }
+                                if *n == node && *p == peer && delta.tuple == *tuple && delta.polarity == polarity)),
+                            "{step}: find_receive"
+                        );
+                    }
+                }
+                for time in 0..times {
+                    assert_eq!(
+                        g.appear_at(node, tuple, time),
+                        scan(
+                            g,
+                            |k| matches!(k, VertexKind::Appear { node: n, tuple: t, time: tt } if *n == node && t == tuple && *tt == time)
+                        ),
+                        "{step}: appear_at"
+                    );
+                    assert_eq!(
+                        g.disappear_at(node, tuple, time),
+                        scan(
+                            g,
+                            |k| matches!(k, VertexKind::Disappear { node: n, tuple: t, time: tt } if *n == node && t == tuple && *tt == time)
+                        ),
+                        "{step}: disappear_at"
+                    );
+                    assert_eq!(
+                        g.believe_appear_at(node, tuple, time),
+                        scan(
+                            g,
+                            |k| matches!(k, VertexKind::BelieveAppear { node: n, tuple: t, time: tt, .. } if *n == node && t == tuple && *tt == time)
+                        ),
+                        "{step}: believe_appear_at"
+                    );
+                    assert_eq!(
+                        g.believe_disappear_at(node, tuple, time),
+                        scan(
+                            g,
+                            |k| matches!(k, VertexKind::BelieveDisappear { node: n, tuple: t, time: tt, .. } if *n == node && t == tuple && *tt == time)
+                        ),
+                        "{step}: believe_disappear_at"
+                    );
+                    assert_eq!(
+                        g.exist_covering(node, tuple, time),
+                        scan(g, |k| matches!(k, VertexKind::Exist { node: n, tuple: t, from, until }
+                            if *n == node && t == tuple && *from <= time && until.map_or(true, |u| time <= u))),
+                        "{step}: exist_covering"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn property_keyed_lookups_match_a_linear_scan_under_every_mutation() {
+        use snp_sim::rng::DetRng;
+
+        const TIMES: u64 = 4;
+        let nodes = [NodeId(1), NodeId(2), NodeId(3)];
+        // Tuples homed on either of two nodes, so that a vertex's host and
+        // its tuple's location differ as often as they agree.
+        let tuples: Vec<Tuple> = (0..6)
+            .map(|i| Tuple::new("t", nodes[i % 2], vec![Value::Int((i / 2) as i64)]))
+            .collect();
+        let pick = |rng: &mut DetRng, n: usize| rng.next_below(n as u64) as usize;
+        let random_vertex = |rng: &mut DetRng| {
+            let (node, peer) = (nodes[pick(rng, 3)], nodes[pick(rng, 3)]);
+            let tuple = tuples[pick(rng, tuples.len())].clone();
+            let time = rng.next_below(TIMES);
+            let until = (rng.next_below(2) == 0).then(|| time + rng.next_below(TIMES));
+            let delta = if rng.next_below(2) == 0 {
+                snp_datalog::TupleDelta::plus(tuple.clone())
+            } else {
+                snp_datalog::TupleDelta::minus(tuple.clone())
+            };
+            let rule = format!("R{}", rng.next_below(2));
+            let kind = match rng.next_below(15) {
+                0 => VertexKind::Insert { node, tuple, time },
+                1 => VertexKind::Delete { node, tuple, time },
+                2 => VertexKind::Appear { node, tuple, time },
+                3 => VertexKind::Disappear { node, tuple, time },
+                4 => VertexKind::Exist {
+                    node,
+                    tuple,
+                    from: time,
+                    until,
+                },
+                5 => VertexKind::Derive {
+                    node,
+                    tuple,
+                    rule,
+                    time,
+                },
+                6 => VertexKind::Underive {
+                    node,
+                    tuple,
+                    rule,
+                    time,
+                },
+                7 => VertexKind::Send {
+                    node,
+                    peer,
+                    delta,
+                    time,
+                },
+                8 => VertexKind::Receive {
+                    node,
+                    peer,
+                    delta,
+                    time,
+                },
+                9 => VertexKind::BelieveAppear {
+                    node,
+                    peer,
+                    tuple,
+                    time,
+                },
+                10 => VertexKind::BelieveDisappear {
+                    node,
+                    peer,
+                    tuple,
+                    time,
+                },
+                11 => VertexKind::Believe {
+                    node,
+                    peer,
+                    tuple,
+                    from: time,
+                    until,
+                },
+                12 => VertexKind::Checkpoint { node, tuple, time },
+                13 => VertexKind::Absence { node, tuple, time },
+                _ => VertexKind::MissingPrecondition {
+                    node,
+                    tuple,
+                    rule: Some(rule),
+                    peer: Some(peer),
+                    time,
+                },
+            };
+            let color = [Color::Yellow, Color::Black, Color::Red][pick(rng, 3)];
+            Vertex::new(kind, color)
+        };
+        let random_id = |rng: &mut DetRng, g: &ProvenanceGraph| {
+            let ids: Vec<VertexId> = g.vertices().map(|(id, _)| *id).collect();
+            (!ids.is_empty()).then(|| ids[pick(rng, ids.len())])
+        };
+
+        for seed in 0..4u64 {
+            let mut rng = DetRng::new(seed);
+            let mut g = ProvenanceGraph::new();
+            for step in 0..120 {
+                let op = rng.next_below(10);
+                let label = format!("seed {seed} step {step} op {op}");
+                match op {
+                    0..=4 => {
+                        g.upsert(random_vertex(&mut rng));
+                    }
+                    5 => {
+                        if let Some(id) = random_id(&mut rng, &g) {
+                            g.close_interval(id, rng.next_below(2 * TIMES));
+                        }
+                    }
+                    6 => {
+                        if let Some(id) = random_id(&mut rng, &g) {
+                            g.set_color(id, [Color::Yellow, Color::Black, Color::Red][pick(&mut rng, 3)]);
+                        }
+                    }
+                    7 | 8 => {
+                        // Union with a graph that overlaps `g` (same
+                        // vocabulary) and links some of its vertices.
+                        let mut other = ProvenanceGraph::new();
+                        let ids: Vec<VertexId> = (0..8).map(|_| other.upsert(random_vertex(&mut rng))).collect();
+                        for pair in ids.chunks(2) {
+                            other.edges.insert((pair[0], pair[1]));
+                            other.reverse.insert((pair[1], pair[0]));
+                        }
+                        g.union_in_place(&other);
+                    }
+                    _ => {
+                        // Projections shrink the graph: take them rarely.
+                        if step % 40 == 39 {
+                            g = g.project(nodes[pick(&mut rng, 3)]);
+                        }
+                    }
+                }
+                assert_lookups_match_scan(&g, &nodes, &tuples, TIMES, &label);
+            }
+            assert!(
+                g.vertex_count() > 20,
+                "seed {seed}: the walk must build a graph worth indexing"
+            );
+        }
     }
 
     #[test]

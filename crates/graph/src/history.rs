@@ -162,14 +162,38 @@ pub struct Event {
     pub time: Timestamp,
     /// The node the event occurred on.
     pub node: NodeId,
-    /// What happened.
-    pub kind: EventKind,
+    /// What happened.  Private because `delta_digest` is derived from it.
+    kind: EventKind,
+    /// Digest of the tuple notification a `snd` / `rcv` event carries,
+    /// computed once here: log replay and the GCA both key their message
+    /// tables by it.  `None` for acknowledgments, whose digest nothing keys.
+    delta_digest: Option<Digest>,
 }
 
 impl Event {
     /// Construct an event.
     pub fn new(time: Timestamp, node: NodeId, kind: EventKind) -> Event {
-        Event { time, node, kind }
+        let delta_digest = match &kind {
+            EventKind::Snd(m) | EventKind::Rcv(m) if !m.is_ack() => Some(m.digest()),
+            _ => None,
+        };
+        Event {
+            time,
+            node,
+            kind,
+            delta_digest,
+        }
+    }
+
+    /// What happened.
+    pub fn kind(&self) -> &EventKind {
+        &self.kind
+    }
+
+    /// The content digest of the tuple notification a `snd` / `rcv` event
+    /// carries (`None` for acknowledgments and for `ins` / `del` events).
+    pub fn delta_digest(&self) -> Option<Digest> {
+        self.delta_digest
     }
 }
 

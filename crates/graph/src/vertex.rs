@@ -319,18 +319,14 @@ impl VertexKind {
     /// end of `exist` / `believe` vertices (which the GCA updates in place,
     /// cf. `replace-with` in Figure 10).
     pub fn identity(&self) -> VertexId {
-        let mut normalized = self.clone();
-        match &mut normalized {
-            VertexKind::Exist { until, .. } | VertexKind::Believe { until, .. } => *until = None,
-            _ => {}
-        }
+        // `until` is simply never written: every other field is.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(normalized.kind_name().as_bytes());
+        bytes.extend_from_slice(self.kind_name().as_bytes());
         bytes.push(0);
-        bytes.extend_from_slice(&normalized.host().to_bytes());
-        bytes.extend_from_slice(&normalized.time().to_be_bytes());
-        bytes.extend_from_slice(&normalized.tuple().encode());
-        match &normalized {
+        bytes.extend_from_slice(&self.host().to_bytes());
+        bytes.extend_from_slice(&self.time().to_be_bytes());
+        bytes.extend_from_slice(&self.tuple().encode());
+        match self {
             VertexKind::Send { peer, delta, .. } | VertexKind::Receive { peer, delta, .. } => {
                 bytes.extend_from_slice(&peer.to_bytes());
                 bytes.push(match delta.polarity {
