@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the Datalog evaluation hot loops: per-event join
-//! cost (scan vs. indexed) and snapshot restore (index rebuild included).
+//! cost (scan vs. indexed), per-event aggregate maintenance, and snapshot
+//! restore (index rebuild included).
 //!
 //! `fig_datalog` measures end-to-end throughput at large store sizes; this
 //! target isolates the per-operation costs at a size small enough for the
@@ -8,9 +9,11 @@
 // Test code may unwrap: a panic is the assertion.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
-use snp_bench::datalog_workload::{build_snapshot, events, restore_indexed, restore_scan};
+use snp_bench::datalog_workload::{
+    aggregate_events, build_aggregate_engine, build_snapshot, events, restore_aggregate, restore_indexed, restore_scan,
+};
 use snp_bench::harness::{bench, bench_batched};
-use snp_datalog::SmInput;
+use snp_datalog::{SmInput, StateMachine};
 
 const TUPLES: u64 = 2_000;
 const EVENTS: u64 = 64;
@@ -37,6 +40,19 @@ fn main() {
         || restore_indexed(&snapshot),
         |mut machine| {
             for event in &suffix {
+                machine.handle(event.clone());
+            }
+            machine
+        },
+    );
+
+    let aggregate_snapshot = build_aggregate_engine(TUPLES).snapshot().unwrap();
+    let aggregate_suffix: Vec<SmInput> = aggregate_events(EVENTS);
+    bench_batched(
+        "datalog_aggregate_indexed_2k_x64",
+        || restore_aggregate(&aggregate_snapshot),
+        |mut machine| {
+            for event in &aggregate_suffix {
                 machine.handle(event.clone());
             }
             machine

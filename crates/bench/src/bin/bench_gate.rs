@@ -153,6 +153,36 @@ const GATES: &[Gate] = &[
         path: "sizes.1.indexed_candidates",
         check: Check::Cost,
     },
+    // datalog, cost per input against the size of the change: a single-tuple
+    // change under a `min` rule must cost the same against N and 8N standing
+    // tuples.  `flatness_floor` is the per-event cost at N over the cost at
+    // 8N (group-local refresh measures ≈ 0.95; one that re-reads the
+    // relation, 1/8).  Candidates per event are deterministic — the group of
+    // 8 with and without its new minimum, 8.5 — and pinned two-sided at both
+    // sizes: a rise means the refresh stopped being local, a drop that the
+    // workload shrank.  The arena ratio (slots per live tuple after a churn
+    // of distinct tuples) is pinned one-sided at 1: an arena that keeps every
+    // tuple ever stored reads 2.8.
+    Gate {
+        file: "BENCH_datalog.json",
+        path: "aggregate.flatness_floor",
+        check: Check::Min(0.5),
+    },
+    Gate {
+        file: "BENCH_datalog.json",
+        path: "aggregate.sizes.0.candidates_per_event",
+        check: Check::Band,
+    },
+    Gate {
+        file: "BENCH_datalog.json",
+        path: "aggregate.sizes.1.candidates_per_event",
+        check: Check::Band,
+    },
+    Gate {
+        file: "BENCH_datalog.json",
+        path: "arena.slots_per_live",
+        check: Check::Cost,
+    },
     // model checker: the deduplicated state count per scenario is fully
     // deterministic, so a drift in either direction means the transition
     // system changed — new interleavings (cost) or lost coverage (a checker

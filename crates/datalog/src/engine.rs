@@ -10,8 +10,9 @@
 //! * A rule whose head lives on another node emits the derivation locally
 //!   (the `derive` vertex belongs to the deriving node, cf. Figure 2) and
 //!   ships the head to its home node with a `+τ` / `-τ` notification.
-//! * Aggregation rules (`Min` / `Max` / `Count`) are recomputed per group
-//!   whenever their body relation changes.
+//! * Aggregation rules (`Min` / `Max` / `Count`) are recomputed for the
+//!   groups a change of their body relation touched (see *Group-local
+//!   aggregates* below).
 //! * `maybe` rules are rewritten, exactly as in Appendix A.1, into standard
 //!   rules guarded by a synthetic base tuple `__maybe_<rule>` that the
 //!   application inserts when it decides to trigger the rule.
@@ -40,8 +41,41 @@
 //!   snapshot bytes are byte-identical to the retained
 //!   [`NaiveEngine`](crate::naive::NaiveEngine) scan implementation.
 //!
-//! Per-rule counters (fires, probes, candidates) accumulate in
-//! [`EvalMetrics`] and surface through `QueryStats` during audits.
+//! Which rules a delta can trigger, and in which order the rest of each
+//! body is joined, depends on the program alone: [`RuleSet`] computes both
+//! once per rule and the work-list looks them up by relation.
+//!
+//! Per-rule counters (fires, probes, candidates) surface as
+//! [`EvalMetrics`] through `QueryStats` during audits.
+//!
+//! ## Group-local aggregates
+//!
+//! The heads of an aggregation rule fall into *groups*: the tuples of the
+//! body relation that instantiate the head identically up to its last
+//! argument, which carries the aggregate.  A group's heads depend on its own
+//! tuples only, so the engine recomputes a group only after one of its
+//! tuples entered or left the joinable set:
+//!
+//! * **Marking.**  Every support change goes through
+//!   `Engine::add_support` / `Engine::remove_support`; when a tuple homed here appears or
+//!   disappears, the group it falls in is added to the dirty set of each
+//!   aggregation rule over its relation.  Nothing else changes what a
+//!   group's recomputation would see.
+//! * **Refresh.**  When the work-list reaches a change of the body relation,
+//!   the rule's *whole* dirty set is taken and recomputed against the store
+//!   as it is then — one index probe per group, pinned by a body column the
+//!   group fixes — and the heads that differ from `agg_current` are
+//!   underived, then derived, in head order.  A recompute of every group
+//!   would find the clean ones unchanged and emit for the dirty ones exactly
+//!   this, in this order, so outputs are those of the full recompute — also
+//!   when one input queues several changes of the relation, which is why the
+//!   refresh takes every dirty group and not just the trigger's.
+//! * **Between inputs the dirty sets are empty.**  A group is marked only
+//!   together with a queued change of its relation, and draining that change
+//!   refreshes every rule over the relation.  They are therefore not part of
+//!   a snapshot, and a restored engine starts with none.
+//!
+//! `add_rule` marks every group of the new rule and runs the same refresh.
 
 use crate::analysis::{analyze, ProgramError};
 use crate::machine::{Polarity, SmInput, SmOutput, StateMachine, TupleDelta};
@@ -51,17 +85,62 @@ use crate::store::{EvalMetrics, RuleEval, StoreSnapshot, Support, TupleStore};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use snp_crypto::keys::NodeId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// The relation-name prefix of the synthetic guard tuples that drive
 /// rewritten `maybe` rules.
 pub const MAYBE_GUARD_PREFIX: &str = "__maybe_";
 
-/// A validated set of rules shared by all nodes running the same protocol.
+/// One way an appearing tuple can fire a standard rule: as the body atom at
+/// `position`, the remaining atoms joined in `order`.
+#[derive(Clone, Debug)]
+struct Trigger {
+    rule: usize,
+    position: usize,
+    order: Vec<usize>,
+}
+
+/// The rules and the dispatch tables derived from them.
+#[derive(Clone, Debug, Default)]
+struct Program {
+    rules: Vec<Rule>,
+    /// Body relation → the standard-rule body atoms over it, in rule order
+    /// then body order.
+    triggers: HashMap<String, Vec<Trigger>>,
+    /// Body relation → the aggregation rules over it (by index into `rules`),
+    /// in rule order.
+    aggregates: HashMap<String, Vec<usize>>,
+}
+
+impl Program {
+    /// Append a localized rule and enter it in the dispatch tables.
+    fn push(&mut self, rule: Rule) {
+        let index = self.rules.len();
+        if rule.aggregate.is_some() {
+            self.aggregates
+                .entry(rule.body[0].relation.clone())
+                .or_default()
+                .push(index);
+        } else {
+            for (position, atom) in rule.body.iter().enumerate() {
+                self.triggers.entry(atom.relation.clone()).or_default().push(Trigger {
+                    rule: index,
+                    position,
+                    order: join_order(&rule, position),
+                });
+            }
+        }
+        self.rules.push(rule);
+    }
+}
+
+/// A validated set of rules shared by all nodes running the same protocol
+/// (cloning shares it).
 #[derive(Clone, Debug, Default)]
 pub struct RuleSet {
-    rules: Vec<Rule>,
+    program: Arc<Program>,
 }
 
 impl RuleSet {
@@ -73,11 +152,13 @@ impl RuleSet {
         if let Some(err) = ProgramError::from_diagnostics(analyze(&rules)) {
             return Err(err);
         }
-        let mut out = Vec::with_capacity(rules.len());
+        let mut program = Program::default();
         for rule in rules {
-            out.push(RuleSet::localize(rule)?);
+            program.push(RuleSet::localize(rule)?);
         }
-        Ok(RuleSet { rules: out })
+        Ok(RuleSet {
+            program: Arc::new(program),
+        })
     }
 
     /// Rewrite one analyzer-approved rule into its evaluated form (Appendix
@@ -113,19 +194,19 @@ impl RuleSet {
     /// with existing rules is rejected).  Returns the localized form of the
     /// accepted rule so callers can seed its evaluation.
     pub fn add_rule(&mut self, rule: Rule) -> Result<Rule, ProgramError> {
-        let mut program = self.rules.clone();
-        program.push(rule.clone());
-        if let Some(err) = ProgramError::from_diagnostics(analyze(&program)) {
+        let mut extended = self.program.rules.clone();
+        extended.push(rule.clone());
+        if let Some(err) = ProgramError::from_diagnostics(analyze(&extended)) {
             return Err(err);
         }
         let localized = RuleSet::localize(rule)?;
-        self.rules.push(localized.clone());
+        Arc::make_mut(&mut self.program).push(localized.clone());
         Ok(localized)
     }
 
     /// The rules in the set (after `maybe` rewriting).
     pub fn rules(&self) -> &[Rule] {
-        &self.rules
+        &self.program.rules
     }
 
     /// The guard relation name for a `maybe` rule id.
@@ -165,15 +246,27 @@ fn bound_terms(atom: &Atom, bound: &BTreeSet<&str>) -> usize {
         .count()
 }
 
-/// Pick a static join order for the body atoms other than `skip_index`:
-/// repeatedly take the atom with the most bound terms under the variables
-/// bound so far (ties: lowest body position).  The bound-variable set after
-/// matching a given atom sequence is the same for every partial binding, so
-/// one symbolic pass fixes the order for the whole join — and since the
-/// downstream consumers are order-independent (results are sorted and
-/// deduplicated), reordering cannot change engine outputs, only probe cost.
-fn join_order(rule: &Rule, skip_index: usize, initially_bound: &Bindings) -> Vec<usize> {
-    let mut bound: BTreeSet<&str> = initially_bound.keys().map(String::as_str).collect();
+/// Pick a static join order for the body atoms other than `skip_index`,
+/// given that matching the atom at `skip_index` (if there is one) bound its
+/// variables: repeatedly take the atom with the most bound terms under the
+/// variables bound so far (ties: lowest body position).  The bound-variable
+/// set after matching a given atom sequence is the same for every partial
+/// binding, so one symbolic pass fixes the order for the whole join — and
+/// since the downstream consumers are order-independent (results are sorted
+/// and deduplicated), reordering cannot change engine outputs, only probe
+/// cost.
+fn join_order(rule: &Rule, skip_index: usize) -> Vec<usize> {
+    fn bind<'a>(bound: &mut BTreeSet<&'a str>, atom: &'a Atom) {
+        for term in atom_terms(atom) {
+            if let Term::Var(name) = term {
+                bound.insert(name.as_str());
+            }
+        }
+    }
+    let mut bound: BTreeSet<&str> = BTreeSet::new();
+    if let Some(trigger) = rule.body.get(skip_index) {
+        bind(&mut bound, trigger);
+    }
     let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&i| i != skip_index).collect();
     let mut order = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
@@ -187,11 +280,7 @@ fn join_order(rule: &Rule, skip_index: usize, initially_bound: &Bindings) -> Vec
             }
         }
         let i = remaining.remove(best_pos);
-        for term in atom_terms(&rule.body[i]) {
-            if let Term::Var(name) = term {
-                bound.insert(name.as_str());
-            }
-        }
+        bind(&mut bound, &rule.body[i]);
         order.push(i);
     }
     order
@@ -205,6 +294,39 @@ fn first_bound_column(atom: &Atom, bindings: &Bindings) -> Option<(usize, Value)
         .iter()
         .enumerate()
         .find_map(|(col, term)| term.resolve(bindings).map(|v| (col, v)))
+}
+
+/// What one tuple of an aggregation rule's body relation contributes: the
+/// head it instantiates, with `0` standing in for the aggregated variable,
+/// and its value of that variable.  `None` when the tuple does not match the
+/// body, fails a constraint or aggregates a non-integer (or the rule is not
+/// an aggregation rule).
+fn contribution(rule: &Rule, candidate: &Tuple) -> Option<(Tuple, i64)> {
+    let (_, agg_var) = rule.aggregate.as_ref()?;
+    let mut bindings = Bindings::new();
+    if !rule.body[0].matches(candidate, &mut bindings) {
+        return None;
+    }
+    if !rule.constraints.iter().all(|c| c.apply(&mut bindings)) {
+        return None;
+    }
+    let agg_value = bindings.get(agg_var).and_then(Value::as_int)?;
+    // The head's aggregate argument is overwritten with the result; pin it
+    // so grouping only depends on the other args.
+    bindings.insert(agg_var.clone(), Value::Int(0));
+    Some((rule.head.instantiate(&bindings)?, agg_value))
+}
+
+/// The group of an instantiated aggregate head: the head without its last
+/// argument.  It sorts directly before the heads of its group.
+fn group_of(mut head: Tuple) -> Tuple {
+    head.args.pop();
+    head
+}
+
+/// Whether an instantiated head belongs to `group`.
+fn in_group(group: &Tuple, head: &Tuple) -> bool {
+    head.location == group.location && head.relation == group.relation && head.args.starts_with(&group.args)
 }
 
 /// The incremental evaluation engine for one node.
@@ -227,13 +349,18 @@ pub struct Engine {
     /// For each aggregation rule id, the currently derived heads and the body
     /// tuple that justifies each.
     agg_current: BTreeMap<String, BTreeMap<Tuple, Tuple>>,
-    /// Per-rule evaluation counters since construction (or restore).
-    metrics: EvalMetrics,
+    /// Per rule (by index), the groups whose tuples changed since the rule's
+    /// last refresh.  Empty between inputs; see the module docs.
+    agg_dirty: Vec<BTreeSet<Tuple>>,
+    /// Evaluation counters since construction (or restore), per rule by
+    /// index.
+    metrics: Vec<RuleEval>,
 }
 
 impl Engine {
     /// Create an engine for `node` running `ruleset`.
     pub fn new(node: NodeId, ruleset: RuleSet) -> Engine {
+        let rules = ruleset.rules().len();
         Engine {
             node,
             ruleset,
@@ -241,7 +368,8 @@ impl Engine {
             derivations: BTreeMap::new(),
             deps: BTreeMap::new(),
             agg_current: BTreeMap::new(),
-            metrics: EvalMetrics::default(),
+            agg_dirty: vec![BTreeSet::new(); rules],
+            metrics: vec![RuleEval::default(); rules],
         }
     }
 
@@ -274,11 +402,6 @@ impl Engine {
         self.store.reader()
     }
 
-    /// Per-rule evaluation counters accumulated so far.
-    pub fn metrics(&self) -> &EvalMetrics {
-        &self.metrics
-    }
-
     /// Convenience: insert the guard tuple that triggers `maybe` rule
     /// `rule_id` with the given head arguments (see [`RuleSet::new`]).
     pub fn maybe_guard(&self, rule_id: &str, args: Vec<Value>) -> Tuple {
@@ -292,14 +415,34 @@ impl Engine {
     /// and any new derivations propagate exactly as if the rule had always
     /// been present.  Returns the resulting outputs.
     pub fn add_rule(&mut self, rule: Rule) -> Result<Vec<SmOutput>, ProgramError> {
-        let localized = self.ruleset.add_rule(rule)?;
+        self.ruleset.add_rule(rule)?;
+        let program = Arc::clone(&self.ruleset.program);
+        let index = program.rules.len() - 1;
+        let rule = &program.rules[index];
+        self.agg_dirty.push(BTreeSet::new());
+        self.metrics.push(RuleEval::default());
         let mut outputs = Vec::new();
         let mut worklist = VecDeque::new();
         let mut metrics = std::mem::take(&mut self.metrics);
-        if localized.aggregate.is_some() {
-            self.refresh_aggregate(&localized, &mut metrics, &mut outputs, &mut worklist);
+        if rule.aggregate.is_some() {
+            // Every group the store holds is new to the rule.
+            let eval = &mut metrics[index];
+            let body_atom = &rule.body[0];
+            let probe = first_bound_column(body_atom, &Bindings::new());
+            eval.probes += 1;
+            for candidate in self
+                .store
+                .view()
+                .local_candidates(&body_atom.relation, probe.as_ref().map(|(c, v)| (*c, v)))
+            {
+                eval.candidates += 1;
+                if let Some((head, _)) = contribution(rule, candidate) {
+                    self.agg_dirty[index].insert(group_of(head));
+                }
+            }
+            self.refresh_aggregate(rule, index, &mut metrics, &mut outputs, &mut worklist);
         } else {
-            for derivation in self.seed_derivations(&localized, &mut metrics) {
+            for derivation in self.seed_derivations(rule, &mut metrics[index]) {
                 self.record_derivation(derivation, &mut outputs, &mut worklist);
             }
         }
@@ -310,10 +453,10 @@ impl Engine {
 
     /// All derivations of a newly added rule over the current store (the
     /// join starts from no trigger: every body atom is index-probed).
-    fn seed_derivations(&self, rule: &Rule, metrics: &mut EvalMetrics) -> Vec<Derivation> {
+    fn seed_derivations(&self, rule: &Rule, eval: &mut RuleEval) -> Vec<Derivation> {
         let mut found = Vec::new();
-        let eval = metrics.rule(&rule.id);
-        for (mut complete, matched) in self.join_rest(rule, rule.body.len(), Bindings::new(), eval) {
+        let order = join_order(rule, rule.body.len());
+        for (mut complete, matched) in self.join_rest(rule, &order, Bindings::new(), eval) {
             if !rule.constraints.iter().all(|c| c.apply(&mut complete)) {
                 continue;
             }
@@ -336,17 +479,40 @@ impl Engine {
     // ----- support management -------------------------------------------------
 
     fn add_support(&mut self, tuple: &Tuple, f: impl FnOnce(&mut Support)) -> bool {
-        self.store.add_support(tuple, f)
+        let appeared = self.store.add_support(tuple, f);
+        if appeared {
+            self.mark_groups(tuple);
+        }
+        appeared
     }
 
     fn remove_support(&mut self, tuple: &Tuple, f: impl FnOnce(&mut Support)) -> bool {
-        self.store.remove_support(tuple, f)
+        let disappeared = self.store.remove_support(tuple, f);
+        if disappeared {
+            self.mark_groups(tuple);
+        }
+        disappeared
+    }
+
+    /// `tuple` entered or left the joinable set: the group it falls in, of
+    /// every aggregation rule over its relation, is due a recompute.
+    fn mark_groups(&mut self, tuple: &Tuple) {
+        if tuple.location != self.node {
+            return;
+        }
+        let program = &self.ruleset.program;
+        for &index in program.aggregates.get(&tuple.relation).into_iter().flatten() {
+            if let Some((head, _)) = contribution(&program.rules[index], tuple) {
+                self.agg_dirty[index].insert(group_of(head));
+            }
+        }
     }
 
     // ----- rule evaluation ----------------------------------------------------
 
-    /// Join the remaining body atoms (all except `skip_index`) against the
-    /// store, starting from `bindings`.  Returns complete binding sets.
+    /// Join the body atoms at the positions in `order` (a [`join_order`])
+    /// against the store, starting from `bindings`.  Returns complete binding
+    /// sets.
     ///
     /// Atoms are visited most-bound-first and each partial binding probes the
     /// per-(relation, column, value) index by its first bound column, so the
@@ -355,16 +521,15 @@ impl Engine {
     fn join_rest(
         &self,
         rule: &Rule,
-        skip_index: usize,
+        order: &[usize],
         bindings: Bindings,
         eval: &mut RuleEval,
     ) -> Vec<(Bindings, Vec<Option<Tuple>>)> {
         // Each result carries the matched tuple per body position (None at
-        // skip_index, to be filled by the caller).
+        // the trigger's, to be filled by the caller).
         let view = self.store.view();
-        let order = join_order(rule, skip_index, &bindings);
         let mut partials: Vec<(Bindings, Vec<Option<Tuple>>)> = vec![(bindings, vec![None; rule.body.len()])];
-        for i in order {
+        for &i in order {
             let atom = &rule.body[i];
             let mut next = Vec::new();
             for (bound, matched) in &partials {
@@ -393,41 +558,35 @@ impl Engine {
     }
 
     /// Find all new derivations triggered by the appearance of `trigger`.
-    fn derivations_for(&self, trigger: &Tuple, metrics: &mut EvalMetrics) -> Vec<Derivation> {
+    fn derivations_for(&self, trigger: &Tuple, metrics: &mut [RuleEval]) -> Vec<Derivation> {
         let mut found = Vec::new();
         if trigger.location != self.node {
             // Tuples homed elsewhere never participate in local joins.
             return found;
         }
-        for rule in self.ruleset.rules() {
-            if rule.aggregate.is_some() {
+        let program = &self.ruleset.program;
+        for candidate in program.triggers.get(&trigger.relation).into_iter().flatten() {
+            let rule = &program.rules[candidate.rule];
+            let mut bindings = Bindings::new();
+            if !rule.body[candidate.position].matches(trigger, &mut bindings) {
                 continue;
             }
-            for (i, atom) in rule.body.iter().enumerate() {
-                if atom.relation != trigger.relation {
+            let eval = &mut metrics[candidate.rule];
+            for (mut complete, mut matched) in self.join_rest(rule, &candidate.order, bindings, eval) {
+                matched[candidate.position] = Some(trigger.clone());
+                if !rule.constraints.iter().all(|c| c.apply(&mut complete)) {
                     continue;
                 }
-                let mut bindings = Bindings::new();
-                if !atom.matches(trigger, &mut bindings) {
+                let Some(head) = rule.head.instantiate(&complete) else {
                     continue;
-                }
-                let eval = metrics.rule(&rule.id);
-                for (mut complete, mut matched) in self.join_rest(rule, i, bindings, eval) {
-                    matched[i] = Some(trigger.clone());
-                    if !rule.constraints.iter().all(|c| c.apply(&mut complete)) {
-                        continue;
-                    }
-                    let Some(head) = rule.head.instantiate(&complete) else {
-                        continue;
-                    };
-                    eval.fires += 1;
-                    let body: Vec<Tuple> = matched.into_iter().map(|t| t.expect("all positions matched")).collect();
-                    found.push(Derivation {
-                        rule: rule.id.clone(),
-                        head,
-                        body,
-                    });
-                }
+                };
+                eval.fires += 1;
+                let body: Vec<Tuple> = matched.into_iter().map(|t| t.expect("all positions matched")).collect();
+                found.push(Derivation {
+                    rule: rule.id.clone(),
+                    head,
+                    body,
+                });
             }
         }
         found.sort();
@@ -514,123 +673,144 @@ impl Engine {
         }
     }
 
-    /// Recompute an aggregation rule after its body relation changed.
+    /// Bring an aggregation rule's heads up to date with the store: recompute
+    /// the groups marked dirty since its last refresh (see the module docs).
     ///
-    /// Candidates come from the per-relation (or constant-column) index; the
-    /// winner per group is the argmin/argmax over `(value, witness)` in the
-    /// tuple total order, which no enumeration order can change.
+    /// A group's candidates come from one index probe; its winner is the
+    /// argmin/argmax over `(value, witness)` in the tuple total order, which
+    /// no enumeration order can change.
     fn refresh_aggregate(
         &mut self,
         rule: &Rule,
-        metrics: &mut EvalMetrics,
+        index: usize,
+        metrics: &mut [RuleEval],
         outputs: &mut Vec<SmOutput>,
         worklist: &mut VecDeque<Change>,
     ) {
-        let (kind, agg_var) = rule.aggregate.clone().expect("aggregate rule");
+        let (kind, agg_var) = rule.aggregate.as_ref().expect("aggregate rule");
+        // A snapshot lists every rule refreshed so far, with or without heads.
+        if !self.agg_current.contains_key(&rule.id) {
+            self.agg_current.insert(rule.id.clone(), BTreeMap::new());
+        }
+        let dirty = std::mem::take(&mut self.agg_dirty[index]);
+        if dirty.is_empty() {
+            return;
+        }
+        let eval = &mut metrics[index];
         let body_atom = &rule.body[0];
+        let view = self.store.view();
+        let current = &self.agg_current[&rule.id];
 
-        let candidates: Vec<Tuple> = {
-            let view = self.store.view();
-            let probe = first_bound_column(body_atom, &Bindings::new());
-            view.local_candidates(&body_atom.relation, probe.as_ref().map(|(c, v)| (*c, v)))
-                .cloned()
-                .collect()
-        };
-        {
-            let eval = metrics.rule(&rule.id);
+        // Heads no longer justified, and newly justified, each with the body
+        // tuple that justifies it — all computed before any is applied.
+        let mut stale: BTreeMap<Tuple, Tuple> = BTreeMap::new();
+        let mut fresh: BTreeMap<Tuple, Tuple> = BTreeMap::new();
+        for group in &dirty {
+            // The group fixes every head variable but the aggregated one;
+            // where the body atom carries one of them, probe by it.
+            let mut fixed = Bindings::new();
+            let head_terms = std::iter::once(&rule.head.location).chain(&rule.head.args);
+            let group_values = std::iter::once(Value::Node(group.location)).chain(group.args.iter().cloned());
+            for (term, value) in head_terms.zip(group_values) {
+                if !matches!(term, Term::Var(name) if name == agg_var) {
+                    term.unify(&value, &mut fixed);
+                }
+            }
+            let probe = first_bound_column(body_atom, &fixed);
             eval.probes += 1;
-            eval.candidates += candidates.len() as u64;
-        }
 
-        // Compute, for each group (instantiated head), the winning body tuple.
-        let mut groups: BTreeMap<Tuple, (i64, Tuple, i64)> = BTreeMap::new(); // head -> (agg value, witness, count)
-        for candidate in &candidates {
-            let mut bindings = Bindings::new();
-            if !body_atom.matches(candidate, &mut bindings) {
-                continue;
+            // Per instantiated head of the group: (agg value, witness, count).
+            let mut winners: BTreeMap<Tuple, (i64, &Tuple, i64)> = BTreeMap::new();
+            for candidate in view.local_candidates(&body_atom.relation, probe.as_ref().map(|(c, v)| (*c, v))) {
+                eval.candidates += 1;
+                // The probe pins one column; a head variable computed by a
+                // constraint pins none, so the group test stays.
+                let Some((head, agg_value)) = contribution(rule, candidate) else {
+                    continue;
+                };
+                if !in_group(group, &head) {
+                    continue;
+                }
+                let entry = winners.entry(head).or_insert((agg_value, candidate, 0));
+                entry.2 += 1;
+                let better = match kind {
+                    AggKind::Min => agg_value < entry.0 || (agg_value == entry.0 && candidate < entry.1),
+                    AggKind::Max => agg_value > entry.0 || (agg_value == entry.0 && candidate < entry.1),
+                    AggKind::Count => candidate < entry.1,
+                };
+                if better {
+                    entry.0 = agg_value;
+                    entry.1 = candidate;
+                }
             }
-            if !rule.constraints.iter().all(|c| c.apply(&mut bindings)) {
-                continue;
-            }
-            let Some(agg_value) = bindings.get(&agg_var).and_then(Value::as_int) else {
-                continue;
-            };
-            // The head's aggregate argument is bound to the aggregated value
-            // below; remove it so grouping only depends on the other args.
-            let mut group_bindings = bindings.clone();
-            group_bindings.insert(agg_var.clone(), Value::Int(0));
-            let Some(group_key) = rule.head.instantiate(&group_bindings) else {
-                continue;
-            };
-            let entry = groups.entry(group_key).or_insert((agg_value, candidate.clone(), 0));
-            entry.2 += 1;
-            let better = match kind {
-                AggKind::Min => agg_value < entry.0 || (agg_value == entry.0 && *candidate < entry.1),
-                AggKind::Max => agg_value > entry.0 || (agg_value == entry.0 && *candidate < entry.1),
-                AggKind::Count => false,
-            };
-            if better {
-                entry.0 = agg_value;
-                entry.1 = candidate.clone();
-            }
-        }
 
-        // Materialize the new heads with the aggregate value substituted in.
-        let mut new_heads: BTreeMap<Tuple, Tuple> = BTreeMap::new();
-        for (group_key, (value, witness, count)) in groups {
-            let mut head = group_key;
-            let agg_result = match kind {
-                AggKind::Min | AggKind::Max => value,
-                AggKind::Count => count,
-            };
-            if let Some(last) = head.args.last_mut() {
-                *last = Value::Int(agg_result);
+            // Materialize the heads with the aggregate value substituted in.
+            let mut new_heads: BTreeMap<Tuple, &Tuple> = BTreeMap::new();
+            for (mut head, (value, witness, count)) in winners {
+                let agg_result = match kind {
+                    AggKind::Min | AggKind::Max => value,
+                    AggKind::Count => count,
+                };
+                if let Some(last) = head.args.last_mut() {
+                    *last = Value::Int(agg_result);
+                }
+                new_heads.insert(head, witness);
             }
-            new_heads.insert(head, witness);
-        }
 
-        let current = self.agg_current.entry(rule.id.clone()).or_default().clone();
-
-        // Underive heads that are no longer justified.
-        for (head, witness) in &current {
-            if !new_heads.contains_key(head) {
-                self.agg_current.get_mut(&rule.id).expect("entry exists").remove(head);
-                let disappeared =
-                    self.remove_support(head, |s| s.derivation_count = s.derivation_count.saturating_sub(1));
-                if disappeared {
-                    outputs.push(SmOutput::Underive {
-                        tuple: head.clone(),
-                        rule: rule.id.clone(),
-                        body: vec![witness.clone()],
-                    });
-                    worklist.push_back(Change::Disappeared(head.clone()));
+            // The recorded witness of a head that stays is kept as it is,
+            // present or not: replacing it is not an event (an equal-cost
+            // `min` witness swap records nothing).
+            let recorded = current
+                .range::<Tuple, _>((Bound::Included(group), Bound::Unbounded))
+                .take_while(|(head, _)| in_group(group, head));
+            for (head, witness) in recorded {
+                if !new_heads.contains_key(head) {
+                    stale.insert(head.clone(), witness.clone());
+                }
+            }
+            for (head, witness) in new_heads {
+                if !current.contains_key(&head) {
+                    fresh.insert(head, witness.clone());
                 }
             }
         }
-        // Derive new heads.
-        for (head, witness) in new_heads {
-            if !current.contains_key(&head) {
-                self.agg_current
-                    .get_mut(&rule.id)
-                    .expect("entry exists")
-                    .insert(head.clone(), witness.clone());
-                let appeared = self.add_support(&head, |s| s.derivation_count += 1);
-                if appeared {
-                    metrics.rule(&rule.id).fires += 1;
-                    outputs.push(SmOutput::Derive {
-                        tuple: head.clone(),
-                        rule: rule.id.clone(),
-                        body: vec![witness],
-                    });
-                    worklist.push_back(Change::Appeared(head));
-                }
+
+        let current = self.agg_current.get_mut(&rule.id).expect("entry exists");
+        for head in stale.keys() {
+            current.remove(head);
+        }
+        for (head, witness) in &fresh {
+            current.insert(head.clone(), witness.clone());
+        }
+        for (head, witness) in stale {
+            let disappeared = self.remove_support(&head, |s| s.derivation_count = s.derivation_count.saturating_sub(1));
+            if disappeared {
+                outputs.push(SmOutput::Underive {
+                    tuple: head.clone(),
+                    rule: rule.id.clone(),
+                    body: vec![witness],
+                });
+                worklist.push_back(Change::Disappeared(head));
+            }
+        }
+        for (head, witness) in fresh {
+            let appeared = self.add_support(&head, |s| s.derivation_count += 1);
+            if appeared {
+                eval.fires += 1;
+                outputs.push(SmOutput::Derive {
+                    tuple: head.clone(),
+                    rule: rule.id.clone(),
+                    body: vec![witness],
+                });
+                worklist.push_back(Change::Appeared(head));
             }
         }
     }
 
     fn process(&mut self, mut worklist: VecDeque<Change>) -> Vec<SmOutput> {
+        let program = Arc::clone(&self.ruleset.program);
         // Counters detach while the worklist drains (`derivations_for` takes
-        // `&self` alongside the mutable counter) and reattach at the end.
+        // `&self` alongside the mutable counters) and reattach at the end.
         let mut metrics = std::mem::take(&mut self.metrics);
         let mut outputs = Vec::new();
         let mut steps = 0usize;
@@ -640,21 +820,12 @@ impl Engine {
                 steps < 100_000,
                 "derivation propagation did not terminate; check rules for cycles"
             );
-            match change {
+            let tuple = match change {
                 Change::Appeared(tuple) => {
                     for derivation in self.derivations_for(&tuple, &mut metrics) {
                         self.record_derivation(derivation, &mut outputs, &mut worklist);
                     }
-                    let agg_rules: Vec<Rule> = self
-                        .ruleset
-                        .rules()
-                        .iter()
-                        .filter(|r| r.aggregate.is_some() && r.body[0].relation == tuple.relation)
-                        .cloned()
-                        .collect();
-                    for rule in agg_rules {
-                        self.refresh_aggregate(&rule, &mut metrics, &mut outputs, &mut worklist);
-                    }
+                    tuple
                 }
                 Change::Disappeared(tuple) => {
                     let dependent: Vec<Derivation> = self
@@ -665,19 +836,17 @@ impl Engine {
                     for derivation in dependent {
                         self.retract_derivation(&derivation, &mut outputs, &mut worklist);
                     }
-                    let agg_rules: Vec<Rule> = self
-                        .ruleset
-                        .rules()
-                        .iter()
-                        .filter(|r| r.aggregate.is_some() && r.body[0].relation == tuple.relation)
-                        .cloned()
-                        .collect();
-                    for rule in agg_rules {
-                        self.refresh_aggregate(&rule, &mut metrics, &mut outputs, &mut worklist);
-                    }
+                    tuple
                 }
+            };
+            for &index in program.aggregates.get(&tuple.relation).into_iter().flatten() {
+                self.refresh_aggregate(&program.rules[index], index, &mut metrics, &mut outputs, &mut worklist);
             }
         }
+        debug_assert!(
+            self.agg_dirty.iter().all(BTreeSet::is_empty),
+            "a group is marked only with a queued change of its relation"
+        );
         self.metrics = metrics;
         outputs
     }
@@ -729,7 +898,14 @@ impl StateMachine for Engine {
     }
 
     fn eval_metrics(&self) -> EvalMetrics {
-        self.metrics.clone()
+        // A rule that has done no work yet has no entry.
+        let evaluated = self.ruleset.rules().iter().zip(&self.metrics);
+        EvalMetrics {
+            rules: evaluated
+                .filter(|(_, eval)| **eval != RuleEval::default())
+                .map(|(rule, eval)| (rule.id.clone(), *eval))
+                .collect(),
+        }
     }
 
     /// The snapshot covers the support table, the recorded derivations and
@@ -1380,6 +1556,204 @@ mod tests {
                 );
                 assert_eq!(
                     indexed.snapshot(),
+                    naive.snapshot(),
+                    "seed {seed} step {step}: snapshot bytes diverge"
+                );
+            }
+        }
+    }
+
+    /// What happens when a `min` group's witness is replaced by a tuple of
+    /// equal cost (`benchmark/README.md`, finding 3): the head stays, so
+    /// nothing is emitted and the *recorded* witness stays too — after which
+    /// it names a tuple that is no longer present, and that is the body a
+    /// later `Underive` reports.  Logged bytes depend on exactly this.
+    #[test]
+    fn min_tie_keeps_recorded_witness() {
+        let mut engine = Engine::new(NodeId(1), mincost_rules());
+        let mut naive = NaiveEngine::new(NodeId(1), mincost_rules());
+        let direct = Tuple::new(
+            "cost",
+            NodeId(1),
+            vec![Value::node(2u64), Value::node(2u64), Value::Int(5)],
+        );
+        let via3 = Tuple::new(
+            "cost",
+            NodeId(1),
+            vec![Value::node(2u64), Value::node(3u64), Value::Int(5)],
+        );
+        let learn = SmInput::Receive {
+            from: NodeId(3),
+            delta: TupleDelta::plus(via3.clone()),
+        };
+        for input in [SmInput::InsertBase(link(1, 2, 5)), learn] {
+            assert_eq!(engine.handle(input.clone()), naive.handle(input));
+        }
+        assert_eq!(engine.agg_current["R3"][&best_cost(1, 2, 5)], direct);
+
+        // The witness goes; an equal-cost tuple takes its place.
+        let outputs = engine.handle(SmInput::DeleteBase(link(1, 2, 5)));
+        assert_eq!(outputs, naive.handle(SmInput::DeleteBase(link(1, 2, 5))));
+        assert!(
+            !outputs
+                .iter()
+                .any(|o| matches!(o, SmOutput::Derive { rule, .. } | SmOutput::Underive { rule, .. } if rule == "R3")),
+            "the swap is not an event: {outputs:?}"
+        );
+        assert!(engine.contains(&best_cost(1, 2, 5)) && !engine.contains(&direct));
+        assert_eq!(
+            engine.agg_current["R3"][&best_cost(1, 2, 5)],
+            direct,
+            "recorded witness is kept"
+        );
+        assert_eq!(engine.snapshot(), naive.snapshot());
+
+        // The group empties: the underivation names the recorded witness.
+        let forget = SmInput::Receive {
+            from: NodeId(3),
+            delta: TupleDelta::minus(via3),
+        };
+        let outputs = engine.handle(forget.clone());
+        assert_eq!(outputs, naive.handle(forget));
+        assert!(outputs.contains(&SmOutput::Underive {
+            tuple: best_cost(1, 2, 5),
+            rule: "R3".into(),
+            body: vec![direct],
+        }));
+        assert_eq!(engine.snapshot(), naive.snapshot());
+    }
+
+    /// Recomputing only the groups a change touched must be indistinguishable
+    /// from `NaiveEngine` recomputing every group: after **every** input of a
+    /// random walk the outputs, stored tuples and snapshot bytes are equal.
+    ///
+    /// The program has `min`, `max` and `count` aggregates over many groups,
+    /// over one global group (`top`, `all`), over another aggregate's heads
+    /// (`top` over `lo`: one refresh of `lo` queues an underive and a derive
+    /// of `top`'s body relation), over a relation one input changes in two
+    /// groups (`d`, via S1 and S2), with a head variable computed by a
+    /// constraint (`band`: groups 1.. share a head), and with heads homed at
+    /// other nodes (`far`, and the standard `fwd`).  The walk mixes base
+    /// inserts and deletes, `Receive ±` from two senders (duplicate supports,
+    /// tuples homed elsewhere, deletes of absent tuples); a `count` and a
+    /// standard rule are added mid-stream and the engine is twice replaced by
+    /// its own snapshot restored.
+    #[test]
+    fn property_group_local_aggregates_match_full_recompute() {
+        fn program() -> RuleSet {
+            let mut rules = crate::parser::parse_program(
+                "A1 lo(@L, G, min<V>)   :- e(@L, G, V).
+                 A2 hi(@L, G, max<V>)   :- e(@L, G, V).
+                 A3 top(@L, max<V>)     :- lo(@L, G, V).
+                 A4 all(@L, min<V>)     :- e(@L, G, V).
+                 S1 d(@L, G, V)         :- src(@L, G, V).
+                 S2 d(@L, H, V)         :- src(@L, G, V), H := G + 1.
+                 S3 e(@L, G, V)         :- d(@L, G, V), V < 2.
+                 A5 dlo(@L, G, min<V>)  :- d(@L, G, V).
+                 A6 dn(@L, G, count<V>) :- d(@L, G, V).
+                 A7 far(@N, L, min<V>)  :- r(@L, N, V).
+                 S4 fwd(@N, V)          :- r(@L, N, V).",
+            )
+            .expect("program parses");
+            let mut band = Rule::aggregate(
+                "A8",
+                Atom::new("band", Term::var("L"), vec![Term::var("B"), Term::var("V")]),
+                Atom::new("e", Term::var("L"), vec![Term::var("G"), Term::var("V")]),
+                AggKind::Max,
+                "V",
+            );
+            band.constraints.push(Constraint::Assign {
+                var: "B".into(),
+                expr: Expr::Min(Box::new(Expr::var("G")), Box::new(Expr::val(1i64))),
+            });
+            rules.push(band);
+            RuleSet::new(rules).expect("analyzer-clean")
+        }
+
+        fn added() -> Vec<Rule> {
+            crate::parser::parse_program(
+                "X1 en(@L, G, count<V>) :- e(@L, G, V).
+                 X2 seen(@L, V)         :- lo(@L, G, V).",
+            )
+            .expect("rules parse")
+        }
+
+        fn rand_input(rng: &mut Rng) -> SmInput {
+            let group = Value::Int(rng.below(4) as i64);
+            let value = Value::Int(rng.below(6) as i64);
+            let at = |rel: &str, node: u64, key: Value, value: Value| Tuple::new(rel, NodeId(node), vec![key, value]);
+            match rng.below(8) {
+                0 | 1 => SmInput::InsertBase(at("e", 1, group, value)),
+                2 | 3 => SmInput::InsertBase(at("src", 1, group, value)),
+                4 => SmInput::InsertBase(at("r", 1, Value::node(2 + rng.below(2)), value)),
+                5 | 6 => SmInput::Receive {
+                    from: NodeId(2 + rng.below(2)),
+                    delta: TupleDelta::plus(at("e", 1, group, value)),
+                },
+                _ => SmInput::Receive {
+                    from: NodeId(2),
+                    delta: TupleDelta::plus(at("e", 2, group, value)),
+                },
+            }
+        }
+
+        // Sized for `cargo test --release` (CI runs it); a debug run keeps a
+        // few seeds so tier-1 time does not grow.
+        let seeds = if cfg!(debug_assertions) { 3 } else { 160 };
+        for seed in 0..seeds {
+            let mut rng = Rng(0x9a0f_1e57 ^ (seed as u64).wrapping_mul(0x9e37_79b9));
+            let mut indexed = Engine::new(NodeId(1), program());
+            let mut naive = NaiveEngine::new(NodeId(1), program());
+            // After the first restore the indexed engine lives behind the
+            // trait object `restore` returns.
+            let mut restored: Option<Box<dyn StateMachine>> = None;
+            let mut fed: Vec<SmInput> = Vec::new();
+            for step in 0..240 {
+                if step == 60 {
+                    for rule in added() {
+                        let a = indexed.add_rule(rule.clone()).expect("accepted");
+                        let b = naive.add_rule(rule).expect("accepted");
+                        assert_eq!(a, b, "seed {seed}: add_rule outputs diverge");
+                        assert_eq!(indexed.snapshot(), naive.snapshot(), "seed {seed}: add_rule state");
+                    }
+                }
+                if step == 120 || step == 180 {
+                    let bytes = naive.snapshot().expect("snapshot");
+                    let machine: &dyn StateMachine = restored.as_deref().unwrap_or(&indexed);
+                    restored = Some(machine.restore(&bytes).expect("restore"));
+                    naive = naive.restore_concrete(&bytes).expect("restore");
+                }
+                let input = if !fed.is_empty() && rng.below(3) == 0 {
+                    // Retract something fed earlier (possibly already gone).
+                    match fed[rng.below(fed.len() as u64) as usize].clone() {
+                        SmInput::InsertBase(t) => SmInput::DeleteBase(t),
+                        SmInput::Receive { from, delta } => SmInput::Receive {
+                            from,
+                            delta: TupleDelta::minus(delta.tuple),
+                        },
+                        other => other,
+                    }
+                } else {
+                    let input = rand_input(&mut rng);
+                    fed.push(input.clone());
+                    input
+                };
+                let machine: &mut dyn StateMachine = match restored.as_deref_mut() {
+                    Some(machine) => machine,
+                    None => &mut indexed,
+                };
+                assert_eq!(
+                    machine.handle(input.clone()),
+                    naive.handle(input.clone()),
+                    "seed {seed} step {step}: outputs diverge on {input:?}"
+                );
+                assert_eq!(
+                    machine.current_tuples(),
+                    naive.current_tuples(),
+                    "seed {seed} step {step}: stored tuples diverge"
+                );
+                assert_eq!(
+                    machine.snapshot(),
                     naive.snapshot(),
                     "seed {seed} step {step}: snapshot bytes diverge"
                 );

@@ -5,8 +5,11 @@
 //! that flat map with a [`TupleStore`] that keeps, behind one `Arc`-swapped
 //! [`StoreSnapshot`]:
 //!
-//! * an **arena** interning each distinct tuple once (`TupleId = u32`), so
-//!   index entries are dense integers instead of cloned tuples;
+//! * an **arena** holding each stored tuple once with its support
+//!   (`TupleId = u32`), so index entries are dense integers instead of
+//!   cloned tuples; a slot lives exactly as long as its support entry and is
+//!   reused afterwards, so the arena is bounded by the node's peak *state*,
+//!   not by its history;
 //! * a string **interner** mapping relation names and `Value::Str` constants
 //!   to `u32` symbols, so index keys compare as integer ops;
 //! * a **per-relation index** over all present tuples (serves `tuples_of`,
@@ -28,13 +31,19 @@
 //!
 //! ## Determinism
 //!
-//! Index buckets are `BTreeSet<TupleId>`, iterated in id (= first-interned)
-//! order, and every index probe is a *prefilter*: `Atom::matches` still runs
-//! per candidate, and the engine's derivation sets are sorted before use.
-//! Candidate **sets** — never enumeration order — determine engine outputs,
-//! so the store only has to guarantee it returns a superset-free candidate
-//! set, not any particular order.  `Value::List` keys hash to a 64-bit
-//! digest: a collision only adds a candidate that `matches` rejects.
+//! Index buckets are `BTreeSet<TupleId>`, iterated in id order, and every
+//! index probe is a *prefilter*: `Atom::matches` still runs per candidate,
+//! the engine's derivation sets are sorted before use, and an aggregate's
+//! witness is the least tuple among equals.  Candidate **sets** — never
+//! enumeration order — determine engine outputs, so the store only has to
+//! guarantee it returns a superset-free candidate set, not any particular
+//! order.  That is also why reusing a freed slot is invisible: which id a
+//! tuple gets decides where it sits in a bucket's enumeration and nothing
+//! else, an id is in a bucket only while its slot is live, and a reader
+//! resolves ids against the arena of its own snapshot, which a later reuse
+//! (a write, hence copy-on-write) cannot touch.  `Value::List` keys hash to
+//! a 64-bit digest: a collision only adds a candidate that `matches`
+//! rejects.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -167,21 +176,28 @@ impl Support {
     }
 }
 
-/// One immutable, fully self-contained view of the store: arena, interner,
-/// support table and all indexes.  Obtained lock-free via
-/// [`TupleStore::reader`]; see the module docs for the copy-on-write
-/// contract.
+/// One arena slot: a stored tuple and its support entry.
+#[derive(Clone)]
+struct Slot {
+    tuple: Arc<Tuple>,
+    /// May be zero-total (a restored snapshot encodes whatever the node
+    /// committed); only positive-support entries are indexed.
+    support: Support,
+}
+
+/// One immutable, fully self-contained view of the store: arena, interner
+/// and all indexes.  Obtained lock-free via [`TupleStore::reader`]; see the
+/// module docs for the copy-on-write contract.
 #[derive(Clone, Default)]
 pub struct StoreSnapshot {
     node: u64,
     interner: Interner,
-    /// Arena: every distinct tuple ever stored, by [`TupleId`].
-    arena: Vec<Arc<Tuple>>,
+    /// Arena: one slot per support entry, by [`TupleId`].  Dropping the entry
+    /// empties the slot and queues its id on `free` for the next tuple.
+    arena: Vec<Option<Slot>>,
+    free: Vec<TupleId>,
+    /// The id of every live slot, by tuple.
     ids: HashMap<Arc<Tuple>, TupleId>,
-    /// Support per tuple.  May transiently contain zero-total entries (a
-    /// restored snapshot encodes whatever the node committed); only
-    /// positive-support entries are indexed.
-    support: HashMap<TupleId, Support>,
     /// All present tuples per relation (any home location).
     by_relation: HashMap<Sym, BTreeSet<TupleId>>,
     /// Present tuples homed at this node, per relation (the joinable set).
@@ -191,11 +207,11 @@ pub struct StoreSnapshot {
 }
 
 // Manual impl: dumping the arena and every bucket swamps test output; the
-// shape counters are the useful part.
+// shape counters are the useful part (`arena` far above `live` is a leak).
 impl std::fmt::Debug for StoreSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreSnapshot")
-            .field("tuples", &self.support.len())
+            .field("live", &self.ids.len())
             .field("arena", &self.arena.len())
             .field("relations", &self.by_relation.len())
             .field("column_buckets", &self.local_by_column.len())
@@ -204,20 +220,56 @@ impl std::fmt::Debug for StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    /// Resolve a tuple id to its tuple.
+    /// Resolve a live tuple id to its tuple.
     fn tuple(&self, id: TupleId) -> &Arc<Tuple> {
         &self.arena[id as usize]
+            .as_ref()
+            .expect("ids and buckets name live slots")
+            .tuple
     }
 
+    fn support_mut(&mut self, id: TupleId) -> &mut Support {
+        &mut self.arena[id as usize].as_mut().expect("ids name live slots").support
+    }
+
+    /// Live slots, in no particular order.
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.arena.iter().flatten()
+    }
+
+    /// The tuple's slot, created with an empty support entry (in a freed
+    /// slot when there is one) on first sight.
     fn intern_tuple(&mut self, tuple: &Tuple) -> TupleId {
         if let Some(&id) = self.ids.get(tuple) {
             return id;
         }
-        let id = TupleId::try_from(self.arena.len()).expect("tuple arena overflow");
         let arc = Arc::new(tuple.clone());
-        self.arena.push(Arc::clone(&arc));
+        let slot = Some(Slot {
+            tuple: Arc::clone(&arc),
+            support: Support::default(),
+        });
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.arena[id as usize] = slot;
+                id
+            }
+            None => {
+                let id = TupleId::try_from(self.arena.len()).expect("tuple arena overflow");
+                self.arena.push(slot);
+                id
+            }
+        };
         self.ids.insert(arc, id);
         id
+    }
+
+    /// Drop an unlinked tuple's support entry: its slot and `ids` entry go
+    /// with it, and the id is free for reuse.
+    fn release(&mut self, id: TupleId) {
+        if let Some(slot) = self.arena[id as usize].take() {
+            self.ids.remove(&slot.tuple);
+            self.free.push(id);
+        }
     }
 
     /// Add a (newly present) tuple to every index it belongs in.
@@ -274,20 +326,25 @@ impl StoreSnapshot {
     pub fn contains(&self, tuple: &Tuple) -> bool {
         self.ids
             .get(tuple)
-            .and_then(|id| self.support.get(id))
-            .map(|s| s.total() > 0)
-            .unwrap_or(false)
+            .and_then(|id| self.arena[*id as usize].as_ref())
+            .is_some_and(|slot| slot.support.total() > 0)
     }
 
     /// Number of support entries (present tuples, plus any zero-support
     /// entries carried by a restored snapshot).
     pub fn len(&self) -> usize {
-        self.support.len()
+        self.ids.len()
     }
 
     /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.support.is_empty()
+        self.ids.is_empty()
+    }
+
+    /// Arena slots allocated, live or free for reuse: the peak of
+    /// [`StoreSnapshot::len`] so far, however many tuples came and went.
+    pub fn arena_slots(&self) -> usize {
+        self.arena.len()
     }
 
     /// Candidate tuples for a local join probe: present tuples of `relation`
@@ -338,10 +395,9 @@ impl StoreSnapshot {
     /// All present tuples, sorted in ascending [`Tuple`] order.
     pub fn current_tuples(&self) -> Vec<Tuple> {
         let mut out: Vec<&Arc<Tuple>> = self
-            .support
-            .iter()
-            .filter(|(_, s)| s.total() > 0)
-            .map(|(id, _)| self.tuple(*id))
+            .slots()
+            .filter(|slot| slot.support.total() > 0)
+            .map(|slot| &slot.tuple)
             .collect();
         out.sort_unstable();
         out.into_iter().map(|t| (**t).clone()).collect()
@@ -351,11 +407,7 @@ impl StoreSnapshot {
     /// by tuple — exactly the iteration order of the scan engine's
     /// `BTreeMap`, so snapshot bytes stay identical.
     pub(crate) fn entries_sorted(&self) -> Vec<(&Tuple, &Support)> {
-        let mut out: Vec<(&Tuple, &Support)> = self
-            .support
-            .iter()
-            .map(|(id, s)| (self.tuple(*id).as_ref(), s))
-            .collect();
+        let mut out: Vec<(&Tuple, &Support)> = self.slots().map(|slot| (slot.tuple.as_ref(), &slot.support)).collect();
         out.sort_unstable_by(|a, b| a.0.cmp(b.0));
         out
     }
@@ -401,7 +453,7 @@ impl TupleStore {
     pub(crate) fn add_support(&mut self, tuple: &Tuple, f: impl FnOnce(&mut Support)) -> bool {
         let snap = self.write();
         let id = snap.intern_tuple(tuple);
-        let entry = snap.support.entry(id).or_default();
+        let entry = snap.support_mut(id);
         let was_absent = entry.total() == 0;
         f(entry);
         let appeared = was_absent && entry.total() > 0;
@@ -412,22 +464,21 @@ impl TupleStore {
     }
 
     /// Apply `f` to the tuple's support entry if one exists.  Returns
-    /// whether the tuple *disappeared* (support went positive → 0), in which
-    /// case the entry is dropped and unlinked from the indexes.
+    /// whether the tuple *disappeared* (support went positive → 0).  An entry
+    /// left without support is dropped: unlinked from the indexes, its arena
+    /// slot freed.
     pub(crate) fn remove_support(&mut self, tuple: &Tuple, f: impl FnOnce(&mut Support)) -> bool {
         let snap = self.write();
         let Some(&id) = snap.ids.get(tuple) else {
             return false;
         };
-        let Some(entry) = snap.support.get_mut(&id) else {
-            return false;
-        };
+        let entry = snap.support_mut(id);
         let was_present = entry.total() > 0;
         f(entry);
         let now_absent = entry.total() == 0;
         if now_absent {
-            snap.support.remove(&id);
             snap.unlink(id);
+            snap.release(id);
         }
         was_present && now_absent
     }
@@ -438,7 +489,7 @@ impl TupleStore {
         let snap = self.write();
         let id = snap.intern_tuple(&tuple);
         let present = support.total() > 0;
-        let was_present = snap.support.insert(id, support).map(|s| s.total() > 0).unwrap_or(false);
+        let was_present = std::mem::replace(snap.support_mut(id), support).total() > 0;
         match (was_present, present) {
             (false, true) => snap.link(id),
             (true, false) => snap.unlink(id),
@@ -480,18 +531,10 @@ pub struct EvalMetrics {
 }
 
 impl EvalMetrics {
-    /// The (created-on-demand) counters for a rule.
-    pub fn rule(&mut self, id: &str) -> &mut RuleEval {
-        if !self.rules.contains_key(id) {
-            self.rules.insert(id.to_string(), RuleEval::default());
-        }
-        self.rules.get_mut(id).expect("just inserted")
-    }
-
     /// Fold another metrics set into this one.
     pub fn merge(&mut self, other: &EvalMetrics) {
         for (id, eval) in &other.rules {
-            self.rule(id).merge(eval);
+            self.rules.entry(id.clone()).or_default().merge(eval);
         }
     }
 
@@ -573,6 +616,61 @@ mod tests {
     }
 
     #[test]
+    fn arena_is_bounded_by_live_tuples_not_history() {
+        const LIVE: i64 = 64;
+        let mut store = TupleStore::new(NodeId(1));
+        let edge = |i: i64| {
+            t(
+                "edge",
+                if i % 5 == 0 { 2 } else { 1 },
+                vec![Value::Int(i % 7), Value::Int(i)],
+            )
+        };
+        for i in 0..10_000 {
+            assert!(store.add_support(&edge(i), |s| s.base_count += 1));
+            if i >= LIVE {
+                assert!(store.remove_support(&edge(i - LIVE), |s| s.base_count -= 1));
+            }
+        }
+        let view = store.view();
+        assert_eq!(view.len(), LIVE as usize);
+        assert_eq!(view.ids.len(), LIVE as usize, "{view:?}");
+        assert!(view.arena.len() <= LIVE as usize + 1, "{view:?}");
+        // The indexes still name exactly the live tuples.
+        let expected: Vec<Tuple> = (10_000 - LIVE..10_000).map(edge).collect();
+        let mut sorted = expected.clone();
+        sorted.sort();
+        assert_eq!(view.current_tuples(), sorted);
+        let local: BTreeSet<&Tuple> = view.local_candidates("edge", None).collect();
+        assert_eq!(local, expected.iter().filter(|t| t.location == NodeId(1)).collect());
+        for tuple in &expected {
+            let probed = view.local_candidates("edge", Some((1, &tuple.args[1]))).count();
+            assert_eq!(probed, usize::from(tuple.location == NodeId(1)));
+        }
+    }
+
+    #[test]
+    fn reader_resolves_its_own_tuples_after_a_slot_is_reused() {
+        let mut store = TupleStore::new(NodeId(1));
+        let a = t("edge", 1, vec![Value::Int(1)]);
+        let b = t("edge", 1, vec![Value::Int(2)]);
+        let c = t("edge", 1, vec![Value::Int(3)]);
+        store.add_support(&a, |s| s.base_count += 1);
+        store.add_support(&b, |s| s.base_count += 1);
+        let reader = store.reader();
+        store.remove_support(&a, |s| s.base_count -= 1);
+        store.add_support(&c, |s| s.base_count += 1);
+        assert_eq!(store.view().ids[&c], reader.ids[&a], "c took over a's slot");
+        assert_eq!(store.view().arena.len(), 2);
+        // The reader's ids still resolve to the tuples it was taken with.
+        assert!(reader.contains(&a) && !reader.contains(&c));
+        assert_eq!(reader.tuples_of("edge"), vec![a.clone(), b.clone()]);
+        let probed: Vec<&Tuple> = reader.local_candidates("edge", Some((0, &Value::Int(1)))).collect();
+        assert_eq!(probed, vec![&a]);
+        assert_eq!(store.view().tuples_of("edge"), vec![b, c]);
+    }
+
+    #[test]
     fn probing_a_never_interned_string_is_empty_not_wrong() {
         let mut store = TupleStore::new(NodeId(1));
         store.add_support(&t("r", 1, vec![Value::str("x")]), |s| s.base_count += 1);
@@ -615,12 +713,16 @@ mod tests {
 
     #[test]
     fn metrics_merge_and_totals() {
-        let mut a = EvalMetrics::default();
-        a.rule("R1").fires = 2;
-        a.rule("R1").probes = 5;
-        let mut b = EvalMetrics::default();
-        b.rule("R1").fires = 1;
-        b.rule("R2").candidates = 7;
+        let metrics = |rules: &[(&str, RuleEval)]| EvalMetrics {
+            rules: rules.iter().map(|(id, eval)| (id.to_string(), *eval)).collect(),
+        };
+        let eval = |fires, probes, candidates| RuleEval {
+            fires,
+            probes,
+            candidates,
+        };
+        let mut a = metrics(&[("R1", eval(2, 5, 0))]);
+        let b = metrics(&[("R1", eval(1, 0, 0)), ("R2", eval(0, 0, 7))]);
         a.merge(&b);
         assert_eq!(a.rules["R1"].fires, 3);
         assert_eq!(a.total_fires(), 3);
