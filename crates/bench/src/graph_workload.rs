@@ -27,7 +27,7 @@ use snp_graph::history::Message;
 use snp_log::entry::{EntryKind, LogEntry};
 use snp_log::log::LogSegment;
 
-/// The node whose log is synthesized.
+/// The node whose log the single-node harnesses synthesize.
 pub const NODE: NodeId = NodeId(1);
 
 /// Microseconds between rounds; far below any `Tprop`, so nothing expires.
@@ -43,15 +43,16 @@ pub fn reach_rules() -> RuleSet {
     RuleSet::new(rules).expect("reach rules are valid")
 }
 
-/// The expected machine of [`NODE`], in its initial state.
-pub fn machine() -> Box<dyn StateMachine> {
-    Box::new(Engine::new(NODE, reach_rules()))
+/// The expected machine of `node`, in its initial state.
+pub fn machine(node: NodeId) -> Box<dyn StateMachine> {
+    Box::new(Engine::new(node, reach_rules()))
 }
 
-/// A genesis log segment of [`NODE`] with at least `entries` entries (the
-/// last round is completed, so up to five more).
-pub fn synthetic_segment(entries: usize) -> LogSegment {
-    let mut machine = Engine::new(NODE, reach_rules());
+/// A genesis log segment of `node` with at least `entries` entries (the last
+/// round is completed, so up to five more); neighbours and peers are
+/// numbered upwards from `node`.
+pub fn synthetic_segment(node: NodeId, entries: usize) -> LogSegment {
+    let mut machine = Engine::new(node, reach_rules());
     let mut log: Vec<LogEntry> = Vec::with_capacity(entries + 8);
     let push = |log: &mut Vec<LogEntry>, timestamp: u64, kind: EntryKind| {
         log.push(LogEntry {
@@ -64,7 +65,7 @@ pub fn synthetic_segment(entries: usize) -> LogSegment {
     let mut round = 0u64;
     while log.len() < entries {
         let now = (round + 1) * ROUND_US;
-        let link = |r: u64| Tuple::new("link", NODE, vec![Value::node(r + 2)]);
+        let link = |r: u64| Tuple::new("link", node, vec![Value::node(node.0 + 1 + r)]);
         let mut inputs = vec![(SmInput::InsertBase(link(round)), EntryKind::Ins { tuple: link(round) })];
         if round % 3 == 2 {
             inputs.push((
@@ -76,7 +77,7 @@ pub fn synthetic_segment(entries: usize) -> LogSegment {
             push(&mut log, now, entry);
             for output in machine.handle(input) {
                 if let SmOutput::Send { to, delta } = output {
-                    let message = Message::delta(NODE, to, delta, now, seq);
+                    let message = Message::delta(node, to, delta, now, seq);
                     seq += 1;
                     let of = message.digest();
                     push(&mut log, now, EntryKind::Snd { message });
@@ -92,9 +93,9 @@ pub fn synthetic_segment(entries: usize) -> LogSegment {
             }
         }
         // A notification from one of sixteen peers about a fresh tuple.
-        let peer = NodeId(2 + round % 16);
-        let hint = Tuple::new("hint", NODE, vec![Value::Int(round as i64)]);
-        let message = Message::delta(peer, NODE, TupleDelta::plus(hint), now, round);
+        let peer = NodeId(node.0 + 1 + round % 16);
+        let hint = Tuple::new("hint", node, vec![Value::Int(round as i64)]);
+        let message = Message::delta(peer, node, TupleDelta::plus(hint), now, round);
         machine.handle(SmInput::Receive {
             from: peer,
             delta: message.as_delta().expect("delta message").clone(),
@@ -110,7 +111,7 @@ pub fn synthetic_segment(entries: usize) -> LogSegment {
         round += 1;
     }
     LogSegment {
-        node: NODE,
+        node,
         epoch: 0,
         base_seq: 0,
         start_head: Digest::ZERO,
@@ -125,8 +126,8 @@ mod tests {
 
     #[test]
     fn synthetic_log_replays_clean_and_grows_linearly() {
-        let small = replay_segment(&synthetic_segment(200), machine(), 1_000_000);
-        let large = replay_segment(&synthetic_segment(400), machine(), 1_000_000);
+        let small = replay_segment(&synthetic_segment(NODE, 200), machine(NODE), 1_000_000);
+        let large = replay_segment(&synthetic_segment(NODE, 400), machine(NODE), 1_000_000);
         assert!(small.faulty_nodes().is_empty(), "an honest log replays without red");
         assert!(large.faulty_nodes().is_empty());
         let per_entry = small.vertex_count() as f64 / 200.0;

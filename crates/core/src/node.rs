@@ -406,6 +406,13 @@ impl SnoopyNode {
         self.auths.from_peer(peer).to_vec()
     }
 
+    /// Hold `auth` as if a peer had sent it.  Tests use this to stand in for
+    /// a peer that presents evidence an honest node would never have kept.
+    #[cfg(test)]
+    pub(crate) fn hold_authenticator(&mut self, auth: Authenticator) {
+        self.auths.add(auth);
+    }
+
     /// The `retrieve` primitive (§5.4): return the retained log prefix
     /// through `through_seq` (or the whole retained log) flattened into one
     /// segment, together with an authenticator that covers it.  Byzantine

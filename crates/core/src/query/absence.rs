@@ -33,15 +33,17 @@ use super::result::{diff_stats, StatsMark};
 use super::{NodeAudit, Querier, QueryResult};
 use snp_crypto::keys::NodeId;
 use snp_datalog::{AbsenceWitness, Polarity, Tuple};
+use snp_graph::graph::VertexHandle;
 use snp_graph::query::Direction;
-use snp_graph::vertex::{Color, Timestamp, Vertex, VertexId, VertexKind};
+use snp_graph::vertex::{Color, Timestamp, Vertex, VertexKind};
 use snp_graph::ProvenanceGraph;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// An absence claim scheduled for expansion: the synthesized `absence`
-/// vertex, the node and pattern it is about, and its recursion depth.
+/// vertex (in the merged graph), the node and pattern it is about, and its
+/// recursion depth.
 struct AbsenceClaim {
-    vertex: VertexId,
+    vertex: VertexHandle,
     node: NodeId,
     pattern: Tuple,
     depth: usize,
@@ -158,7 +160,9 @@ impl Querier {
                     .graph
                     .appearance_matching_in(claim.node, &claim.pattern, d_time, t_q)
                 {
-                    merged.add_edge(disappear, claim.vertex);
+                    if let Some(disappear) = merged.handle(&disappear) {
+                        merged.add_edge(disappear, claim.vertex);
+                    }
                     continue;
                 }
             }
@@ -258,7 +262,7 @@ impl Querier {
                                 sender_record
                                     .graph
                                     .find_send_matching(sender, claim.node, &tuple, Polarity::Plus);
-                            if let Some(send) = send {
+                            if let Some(send) = send.and_then(|id| merged.handle(&id)) {
                                 // The sender logged (or its expected machine
                                 // produced) a send the receiver never saw —
                                 // the red send vertex is the signed evidence
@@ -297,6 +301,7 @@ impl Querier {
         // The negative skeleton hangs off positive vertices (disappearances,
         // red sends) whose own provenance may implicate nodes not audited
         // yet; run the ordinary macroquery expansion waves to fixpoint.
+        let root = merged.id(root);
         let traversal = self.expand_traversal(&mut merged, root, Direction::Causes, scope, window, &mut audits);
 
         let delta = diff_stats(&self.stats, &stats_before);
@@ -320,7 +325,7 @@ impl Querier {
         queue: &mut VecDeque<AbsenceClaim>,
         node: NodeId,
         pattern: Tuple,
-        parent: VertexId,
+        parent: VertexHandle,
         depth: usize,
         t_q: Timestamp,
     ) {

@@ -14,7 +14,7 @@
 //! shared immutably (`KeyRegistry`, the peer-link map), internally
 //! synchronized (`SnoopyHandle`'s mutex or the remote peer's RPC client,
 //! the sharded cache), or pure
-//! (`SegmentVerifier`, `verify_batch`) — per-node evidence is causally
+//! (`SegmentVerifier`, `Authenticator::verify`) — per-node evidence is causally
 //! disjoint until the graph join, which is what makes the fan-out safe.
 
 use super::cache::{AuditCache, AuditRecord};
@@ -23,11 +23,12 @@ use super::result::{NodeAudit, QueryStats, SegmentFetch};
 use crate::fleet::PeerLink;
 use crate::replay;
 use snp_crypto::keys::{KeyRegistry, NodeId};
-use snp_crypto::sign::verify_batch;
 use snp_datalog::StateMachine;
-use snp_graph::vertex::{Color, Timestamp, VertexId, VertexKind};
+use snp_graph::graph::VertexHandle;
+use snp_graph::vertex::{Color, Timestamp, VertexKind};
 use snp_graph::ProvenanceGraph;
 use snp_log::verifier::SegmentVerifier;
+use snp_log::verify_suffix_observing;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -270,9 +271,20 @@ fn audit_uncached(
             (0, snp_crypto::Digest::ZERO)
         }
     };
+    // The chain head after every suffix entry, from the one walk that
+    // verifies the suffix; the consistency check below compares peer-held
+    // authenticators with them.
+    let mut suffix_heads: Vec<snp_crypto::Digest> = Vec::new();
     if color == Color::Black {
         let verifier = verifier.as_ref().expect("checked above");
-        if let Err(reason) = verifier.verify_suffix(&response.segments, anchor_seq, anchor_head, &response.auth) {
+        if let Err(reason) = verify_suffix_observing(
+            &response.segments,
+            anchor_seq,
+            anchor_head,
+            &response.auth,
+            &verifier.public,
+            |_, head| suffix_heads.push(head),
+        ) {
             notes.push(format!("log verification failed: {reason}"));
             color = Color::Red;
         }
@@ -318,63 +330,52 @@ fn audit_uncached(
     let consistency_started = Instant::now();
     if color == Color::Black {
         let verifier = verifier.as_ref().expect("checked above");
-        // Heads over the verified window (already chain-checked above, so
-        // the walks cannot fail here).
-        let mut heads: BTreeMap<u64, snp_crypto::Digest> = BTreeMap::new();
-        let mut collect = |seq, head| {
-            heads.insert(seq, head);
-        };
+        // Heads over the verified window, one per entry from
+        // `window_start.0` on: the linking epoch's (its chain was checked
+        // above, so the walk cannot fail here), then the suffix's.
+        let mut heads: Vec<snp_crypto::Digest> = Vec::new();
         if let Some(link) = &response.anchor_link {
             let _ = verifier.chain_span(
                 std::slice::from_ref(&link.segment),
                 window_start.0,
                 window_start.1,
-                &mut collect,
+                |_, head| heads.push(head),
             );
         }
-        let _ = verifier.chain_span(&response.segments, anchor_seq, anchor_head, &mut collect);
-        // Gather every peer-held authenticator for this node (deterministic
-        // order: peers ascending, insertion order within a peer), then check
-        // their signatures in one batch.
-        let mut peer_auths = Vec::new();
-        let mut batch = Vec::new();
+        heads.append(&mut suffix_heads);
+        let head_at = |seq: u64| {
+            let offset = usize::try_from(seq.checked_sub(window_start.0)?).ok()?;
+            heads.get(offset)
+        };
+        // Every peer-held authenticator for this node (deterministic order:
+        // peers ascending, insertion order within a peer) is downloaded; the
+        // first one that is in the window, disagrees with the verified head
+        // at its seq and is validly signed convicts.  The signature is
+        // checked last: an authenticator that is out of the window or agrees
+        // with the chain changes nothing whether or not it verifies, and one
+        // that does not verify is no evidence against this node (anyone
+        // could have fabricated it).
+        let mut offender = None;
         for (peer_id, peer) in ctx.nodes {
             if *peer_id == node {
                 continue;
             }
             for peer_auth in peer.authenticators_from(node) {
                 stats.authenticator_bytes += peer_auth.wire_size() as u64;
-                let digest = snp_log::Authenticator::signed_digest(
-                    peer_auth.node,
-                    peer_auth.seq,
-                    peer_auth.timestamp,
-                    &peer_auth.head,
-                );
-                batch.push((verifier.public, digest, peer_auth.signature));
-                peer_auths.push((*peer_id, peer_auth));
-            }
-        }
-        let verdicts = verify_batch(&batch);
-        for ((peer_id, peer_auth), valid) in peer_auths.into_iter().zip(verdicts) {
-            if !valid {
-                // An authenticator that does not even verify is no evidence
-                // against this node (anyone could have fabricated it).
-                continue;
-            }
-            if peer_auth.seq < window_start.0 {
-                continue;
-            }
-            match heads.get(&peer_auth.seq) {
-                Some(head) if *head == peer_auth.head => {}
-                _ => {
-                    notes.push(format!(
-                        "log is inconsistent with an authenticator held by {peer_id} (seq {})",
-                        peer_auth.seq
-                    ));
-                    color = Color::Red;
-                    break;
+                if offender.is_none()
+                    && peer_auth.seq >= window_start.0
+                    && head_at(peer_auth.seq) != Some(&peer_auth.head)
+                    && peer_auth.verify(&verifier.public)
+                {
+                    offender = Some((*peer_id, peer_auth.seq));
                 }
             }
+        }
+        if let Some((peer_id, seq)) = offender {
+            notes.push(format!(
+                "log is inconsistent with an authenticator held by {peer_id} (seq {seq})"
+            ));
+            color = Color::Red;
         }
     }
     stats.auth_check_seconds += consistency_started.elapsed().as_secs_f64();
@@ -422,21 +423,21 @@ fn audit_uncached(
     // Excuse missing acks that the node reported to the maintainer (§5.4):
     // those sends are a known link problem, not forensic evidence.
     let mut graph = graph;
-    let excused: Vec<VertexId> = if handle.maintainer_notified() {
+    let excused: Vec<VertexHandle> = if handle.maintainer_notified() {
         graph
             .vertices()
             .filter(|(_, v)| v.color == Color::Red && matches!(v.kind, VertexKind::Send { .. }) && v.host() == node)
-            .map(|(id, _)| *id)
+            .filter_map(|(id, _)| graph.handle(id))
             .collect()
     } else {
         Vec::new()
     };
-    for id in excused {
-        graph.force_color(id, Color::Black);
+    for vertex in excused {
+        graph.force_color(vertex, Color::Black);
         notes.push("missing ack excused by maintainer notification".into());
     }
 
-    if color == Color::Black && graph.vertices().any(|(_, v)| v.color == Color::Red && v.host() == node) {
+    if color == Color::Black && graph.faulty_nodes().contains(&node) {
         notes.push("replay revealed misbehavior (red vertices)".into());
         color = Color::Red;
     }

@@ -424,12 +424,12 @@ impl Querier {
                 .max_by_key(|(_, v)| v.kind.time())
                 .map(|(id, _)| *id)
         };
+        let open_exist = |tuple| graph.open_exist(host, tuple).map(|v| graph.id(v));
         match query {
-            MacroQuery::WhyExists { tuple } => graph
-                .open_exist(host, tuple)
-                .or_else(|| graph.open_believe(host, tuple))
+            MacroQuery::WhyExists { tuple } => open_exist(tuple)
+                .or_else(|| graph.open_believe(host, tuple).map(|v| graph.id(v)))
                 .or_else(|| find_last(&|k| matches!(k, VertexKind::Exist { tuple: t, .. } if t == tuple))),
-            MacroQuery::WhyExistedAt { tuple, at } => graph.exist_covering(host, tuple, *at),
+            MacroQuery::WhyExistedAt { tuple, at } => graph.exist_covering(host, tuple, *at).map(|v| graph.id(v)),
             MacroQuery::WhyAppeared { tuple } => find_last(
                 &|k| matches!(k, VertexKind::Appear { tuple: t, .. } | VertexKind::BelieveAppear { tuple: t, .. } if t == tuple),
             ),
@@ -441,7 +441,7 @@ impl Querier {
             // `exist` vertex (Figure 2 / Table 1).
             MacroQuery::Effects { tuple } => {
                 find_last(&|k| matches!(k, VertexKind::Appear { tuple: t, .. } if t == tuple))
-                    .or_else(|| graph.open_exist(host, tuple))
+                    .or_else(|| open_exist(tuple))
             }
             // Negative queries synthesize their own anchor; they never reach
             // the positive processor (`run_macroquery` dispatches them to
@@ -854,6 +854,66 @@ mod tests {
             "equivocation must be detected: {:?}",
             audit.notes
         );
+        assert_eq!(
+            audit.notes,
+            ["log is inconsistent with an authenticator held by n2 (seq 1)"]
+        );
+    }
+
+    /// A commitment by node 1 to a head its log never had at `seq`, as a peer
+    /// might present it: properly signed by node 1 (equivocation), or with
+    /// the signature `forged` (anyone could have fabricated it).
+    fn conflicting_authenticator(seq: u64, forged: bool) -> snp_log::Authenticator {
+        let keys = snp_crypto::keys::KeyPair::for_node(NodeId(1));
+        let mut auth = snp_log::Authenticator::issue(&keys, seq, 1, snp_crypto::hash(b"another history"));
+        auth.signature.s ^= u64::from(forged);
+        auth
+    }
+
+    #[test]
+    fn forged_peer_authenticator_with_mismatching_head_implicates_nobody() {
+        let mut tb = testbed(2);
+        insert(&mut tb.sim, 10, 1, link(1, 2));
+        tb.sim.run_until(SimTime::from_secs(5));
+        tb.handles[&NodeId(2)].with(|n| n.hold_authenticator(conflicting_authenticator(0, true)));
+        let audit = tb.querier.audit(NodeId(1));
+        assert_eq!(audit.color, Color::Black, "{:?}", audit.notes);
+        assert!(tb.querier.audit(NodeId(2)).color == Color::Black);
+
+        // The same conflicting head under node 1's real signature convicts it.
+        tb.handles[&NodeId(2)].with(|n| n.hold_authenticator(conflicting_authenticator(0, false)));
+        tb.querier.invalidate(NodeId(1));
+        let audit = tb.querier.audit(NodeId(1));
+        assert_eq!(audit.color, Color::Red);
+        assert_eq!(
+            audit.notes,
+            ["log is inconsistent with an authenticator held by n2 (seq 0)"]
+        );
+    }
+
+    #[test]
+    fn out_of_window_mismatch_is_ignored() {
+        let mut tb = testbed(2);
+        tb.handles[&NodeId(1)].with(|n| n.set_epoch_length(1_000_000));
+        for s in 0..=6u64 {
+            insert(&mut tb.sim, 10 + s * 1000, 1, link(1, 2 + s));
+        }
+        tb.sim.run_until(SimTime::from_secs(10));
+        tb.handles[&NodeId(2)].with(|n| n.hold_authenticator(conflicting_authenticator(0, false)));
+        // Anchored at the latest checkpoint, the verified window starts long
+        // after seq 0: the conflict is for the audit whose window holds it.
+        let anchored = tb.querier.audit(NodeId(1));
+        assert!(
+            anchored.anchor_epoch > Some(0),
+            "the window must start past the linking epoch"
+        );
+        assert_eq!(anchored.color, Color::Black, "{:?}", anchored.notes);
+        let genesis = tb.querier.audit_at(NodeId(1), Some(0));
+        assert_eq!(genesis.color, Color::Red);
+        assert_eq!(
+            genesis.notes,
+            ["log is inconsistent with an authenticator held by n2 (seq 0)"]
+        );
     }
 
     #[test]
@@ -946,7 +1006,7 @@ mod tests {
         tb.sim.run_until(SimTime::from_secs(5));
         let graph = tb.querier.node_graph(NodeId(1));
         let exist = graph.open_exist(NodeId(1), &link(1, 2)).expect("link exists");
-        let (color, preds, succs) = tb.querier.microquery(exist, NodeId(1));
+        let (color, preds, succs) = tb.querier.microquery(graph.id(exist), NodeId(1));
         assert_eq!(color, Color::Black);
         assert!(!preds.is_empty());
         let _ = succs;

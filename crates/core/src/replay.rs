@@ -238,6 +238,7 @@ mod tests {
         // The acknowledged send is black.
         let send = graph
             .find_send(NodeId(1), NodeId(2), &reach(2, 1), snp_datalog::Polarity::Plus, None)
+            .map(|send| graph.id(send))
             .expect("send vertex");
         assert_eq!(graph.vertex(&send).unwrap().color, snp_graph::Color::Black);
     }
@@ -289,6 +290,7 @@ mod tests {
         );
         let recv = graph
             .find_receive(NodeId(2), NodeId(1), &reach(2, 1), snp_datalog::Polarity::Plus)
+            .map(|receive| graph.id(receive))
             .expect("receive vertex");
         assert_eq!(graph.vertex(&recv).unwrap().color, snp_graph::Color::Black);
     }

@@ -39,7 +39,7 @@ pub use chain::HashChain;
 pub use digest::Digest;
 pub use keys::{CertificateAuthority, KeyPair, KeyRegistry, NodeCertificate};
 pub use sha256::{sha256, Sha256};
-pub use sign::{verify_batch, BatchItem, PublicKey, SecretKey, Signature};
+pub use sign::{PublicKey, SecretKey, Signature};
 
 /// Convenience: hash an arbitrary byte slice and return the digest.
 pub fn hash(data: &[u8]) -> Digest {
@@ -47,20 +47,45 @@ pub fn hash(data: &[u8]) -> Digest {
     Digest(sha256(data))
 }
 
+/// Streaming form of [`hash`]: the digest of the concatenation of everything
+/// written, counted as one hash invocation, without the caller assembling the
+/// bytes first.
+#[derive(Clone, Debug, Default)]
+pub struct Hasher {
+    sha: Sha256,
+    len: usize,
+}
+
+impl Hasher {
+    /// A hasher that has absorbed nothing.
+    pub fn new() -> Hasher {
+        Hasher::default()
+    }
+
+    /// Absorb `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        self.sha.update(bytes);
+        self.len += bytes.len();
+    }
+
+    /// The digest of everything written.
+    pub fn finish(self) -> Digest {
+        counters::record_hash(self.len);
+        Digest(self.sha.finalize())
+    }
+}
+
 /// Convenience: hash the concatenation of several byte slices.
 ///
 /// The slices are length-prefixed before hashing so that the boundary between
 /// fields is unambiguous (`hash_concat(&[b"ab", b"c"]) != hash_concat(&[b"a", b"bc"])`).
 pub fn hash_concat(parts: &[&[u8]]) -> Digest {
-    let mut hasher = Sha256::new();
-    let mut total = 0usize;
+    let mut hasher = Hasher::new();
     for part in parts {
-        hasher.update(&(part.len() as u64).to_be_bytes());
-        hasher.update(part);
-        total += part.len() + 8;
+        hasher.write(&(part.len() as u64).to_be_bytes());
+        hasher.write(part);
     }
-    counters::record_hash(total);
-    Digest(hasher.finalize())
+    hasher.finish()
 }
 
 #[cfg(test)]
@@ -77,5 +102,14 @@ mod tests {
     #[test]
     fn hash_matches_plain_sha256() {
         assert_eq!(hash(b"snp").0, sha256(b"snp"));
+    }
+
+    #[test]
+    fn streamed_pieces_hash_like_their_concatenation() {
+        let mut hasher = Hasher::new();
+        for piece in [&b"secure "[..], b"", b"network ", b"provenance"] {
+            hasher.write(piece);
+        }
+        assert_eq!(hasher.finish(), hash(b"secure network provenance"));
     }
 }

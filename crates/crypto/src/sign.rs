@@ -168,25 +168,6 @@ impl PublicKey {
     }
 }
 
-/// One item of a signature batch: the verifying key, the signed digest and
-/// the claimed signature.
-pub type BatchItem = (PublicKey, Digest, Signature);
-
-/// Verify a batch of signatures and return one verdict per item, in input
-/// order.
-///
-/// This is the aggregation entry point the querier's audit workers use: an
-/// audit collects every signature it must check over a node's evidence
-/// (authenticators from the node's peers, checkpoint signatures) and verifies
-/// them in one call instead of interleaving verification with evidence
-/// walking.  The function is pure and touches no shared state beyond the
-/// global operation counters (which are atomic), so it is safe to call from
-/// any worker thread; batching also gives a future SIMD/multi-exponentiation
-/// implementation a single choke point to optimize.
-pub fn verify_batch(items: &[BatchItem]) -> Vec<bool> {
-    items.iter().map(|(pk, digest, sig)| pk.verify(digest, sig)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,22 +261,5 @@ mod tests {
             let sig = sk1.sign_bytes(&msg);
             assert!(!pk2.verify_bytes(&msg, &sig), "seed={seed}");
         }
-    }
-
-    #[test]
-    fn verify_batch_reports_per_item_verdicts() {
-        let sk1 = SecretKey::from_seed(b"node-1");
-        let sk2 = SecretKey::from_seed(b"node-2");
-        let m1 = hash(b"first");
-        let m2 = hash(b"second");
-        let good1 = (sk1.public_key(), m1, sk1.sign(&m1));
-        let good2 = (sk2.public_key(), m2, sk2.sign(&m2));
-        let wrong_key = (sk2.public_key(), m1, sk1.sign(&m1));
-        let wrong_msg = (sk1.public_key(), m2, sk1.sign(&m1));
-        assert_eq!(
-            verify_batch(&[good1, wrong_key, good2, wrong_msg]),
-            vec![true, false, true, false]
-        );
-        assert!(verify_batch(&[]).is_empty());
     }
 }

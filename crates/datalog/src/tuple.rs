@@ -30,17 +30,31 @@ impl Tuple {
         }
     }
 
-    /// Stable byte encoding (used for hashing and for wire-size accounting).
+    /// Stable byte encoding (used for hashing and for wire-size accounting),
+    /// handed to `write` piece by piece: the one definition of the format
+    /// behind [`Tuple::encode`], [`Tuple::encoded_len`] and streamed hashing.
+    pub fn encode_with<W: FnMut(&[u8])>(&self, write: &mut W) {
+        write(&(self.relation.len() as u64).to_be_bytes());
+        write(self.relation.as_bytes());
+        write(&self.location.to_bytes());
+        write(&(self.args.len() as u64).to_be_bytes());
+        for arg in &self.args {
+            arg.encode_with(write);
+        }
+    }
+
+    /// The stable byte encoding.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.args.len() * 12);
-        out.extend_from_slice(&(self.relation.len() as u64).to_be_bytes());
-        out.extend_from_slice(self.relation.as_bytes());
-        out.extend_from_slice(&self.location.to_bytes());
-        out.extend_from_slice(&(self.args.len() as u64).to_be_bytes());
-        for arg in &self.args {
-            arg.encode(&mut out);
-        }
+        self.encode_with(&mut |bytes| out.extend_from_slice(bytes));
         out
+    }
+
+    /// Length of the stable byte encoding, without building it.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        self.encode_with(&mut |bytes| len += bytes.len());
+        len
     }
 
     /// Content digest of the tuple; used as a compact unique identifier
@@ -52,7 +66,7 @@ impl Tuple {
 
     /// Approximate wire size of the tuple in bytes.
     pub fn wire_size(&self) -> usize {
-        self.encode().len()
+        self.encoded_len()
     }
 
     /// Argument `i` as an integer, if present and of that type.

@@ -84,31 +84,45 @@ impl Value {
         }
     }
 
-    /// Stable byte encoding used for hashing tuples into digests.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    /// Stable byte encoding used for hashing tuples into digests, handed to
+    /// `write` piece by piece: the one definition of the format behind
+    /// [`Value::encode`], [`Value::encoded_len`] and streamed hashing.
+    pub fn encode_with<W: FnMut(&[u8])>(&self, write: &mut W) {
         match self {
             Value::Int(i) => {
-                out.push(0x01);
-                out.extend_from_slice(&i.to_be_bytes());
+                write(&[0x01]);
+                write(&i.to_be_bytes());
             }
             Value::Str(s) => {
-                out.push(0x02);
-                out.extend_from_slice(&(s.len() as u64).to_be_bytes());
-                out.extend_from_slice(s.as_bytes());
+                write(&[0x02]);
+                write(&(s.len() as u64).to_be_bytes());
+                write(s.as_bytes());
             }
             Value::Node(n) => {
-                out.push(0x03);
-                out.extend_from_slice(&n.to_bytes());
+                write(&[0x03]);
+                write(&n.to_bytes());
             }
             Value::List(items) => {
-                out.push(0x04);
-                out.extend_from_slice(&(items.len() as u64).to_be_bytes());
+                write(&[0x04]);
+                write(&(items.len() as u64).to_be_bytes());
                 for item in items {
-                    item.encode(out);
+                    item.encode_with(write);
                 }
             }
-            Value::Wild => out.push(0x05),
+            Value::Wild => write(&[0x05]),
         }
+    }
+
+    /// Append the stable byte encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_with(&mut |bytes| out.extend_from_slice(bytes));
+    }
+
+    /// Length of the stable byte encoding, without building it.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        self.encode_with(&mut |bytes| len += bytes.len());
+        len
     }
 }
 

@@ -19,9 +19,9 @@
 //!
 //! Vertices whose fate is not yet known stay **yellow**.
 
-use crate::graph::ProvenanceGraph;
+use crate::graph::{ProvenanceGraph, VertexHandle};
 use crate::history::{Event, EventKind, History, Message, MessageBody};
-use crate::vertex::{Color, Timestamp, Vertex, VertexId, VertexKind};
+use crate::vertex::{Color, Timestamp, Vertex, VertexKind};
 use snp_crypto::keys::NodeId;
 use snp_crypto::Digest;
 use snp_datalog::{EvalMetrics, Polarity, SmInput, SmOutput, StateMachine, Tuple, TupleDelta};
@@ -34,7 +34,7 @@ struct PendingSend {
     node: NodeId,
     to: NodeId,
     delta: TupleDelta,
-    vertex: VertexId,
+    vertex: VertexHandle,
     sent_at: Timestamp,
 }
 
@@ -44,7 +44,7 @@ struct PendingSend {
 struct AckPending {
     node: NodeId,
     original_digest: Digest,
-    vertex: VertexId,
+    vertex: VertexHandle,
 }
 
 /// The graph construction algorithm.
@@ -57,14 +57,14 @@ pub struct GraphBuilder {
     pending: Vec<PendingSend>,
     ackpend: Vec<AckPending>,
     /// The `unacked` set: `send` vertices no acknowledgment has been received
-    /// for yet, as `(sender, sent_at, vertex)` — all three are identity
+    /// for yet, as `(sender, sent_at, vertex)` — the first two are identity
     /// fields of the vertex — so the sends of one node that have waited past
     /// a deadline are one range.  Replaying a single node's log leaves one
     /// entry per remote `send` stub here (only their own node's events could
     /// settle them), so this set grows with the history.
-    unacked: BTreeSet<(NodeId, Timestamp, VertexId)>,
+    unacked: BTreeSet<(NodeId, Timestamp, VertexHandle)>,
     /// The `nopreds` set: `send` vertices without an incoming edge yet.
-    nopreds: BTreeSet<VertexId>,
+    nopreds: BTreeSet<VertexHandle>,
     /// Tuple notifications seen so far (by digest), used to resolve
     /// acknowledgments.
     seen_messages: BTreeMap<Digest, Message>,
@@ -265,7 +265,7 @@ impl GraphBuilder {
 
     // ----- library functions (Figure 10) ------------------------------------
 
-    fn appear_local_tuple(&mut self, node: NodeId, tuple: &Tuple, vwhy: VertexId, time: Timestamp) {
+    fn appear_local_tuple(&mut self, node: NodeId, tuple: &Tuple, vwhy: VertexHandle, time: Timestamp) {
         let v1 = self.graph.upsert(Vertex::new(
             VertexKind::Appear {
                 node,
@@ -287,7 +287,7 @@ impl GraphBuilder {
         self.graph.add_edge(v1, v2);
     }
 
-    fn disappear_local_tuple(&mut self, node: NodeId, tuple: &Tuple, vwhy: VertexId, time: Timestamp) {
+    fn disappear_local_tuple(&mut self, node: NodeId, tuple: &Tuple, vwhy: VertexHandle, time: Timestamp) {
         let v1 = self.graph.upsert(Vertex::new(
             VertexKind::Disappear {
                 node,
@@ -303,7 +303,7 @@ impl GraphBuilder {
         }
     }
 
-    fn appear_remote_tuple(&mut self, node: NodeId, tuple: &Tuple, peer: NodeId, vwhy: VertexId, time: Timestamp) {
+    fn appear_remote_tuple(&mut self, node: NodeId, tuple: &Tuple, peer: NodeId, vwhy: VertexHandle, time: Timestamp) {
         let v1 = self.graph.upsert(Vertex::new(
             VertexKind::BelieveAppear {
                 node,
@@ -327,7 +327,14 @@ impl GraphBuilder {
         self.graph.add_edge(v1, v2);
     }
 
-    fn disappear_remote_tuple(&mut self, node: NodeId, tuple: &Tuple, peer: NodeId, vwhy: VertexId, time: Timestamp) {
+    fn disappear_remote_tuple(
+        &mut self,
+        node: NodeId,
+        tuple: &Tuple,
+        peer: NodeId,
+        vwhy: VertexHandle,
+        time: Timestamp,
+    ) {
         let v1 = self.graph.upsert(Vertex::new(
             VertexKind::BelieveDisappear {
                 node,
@@ -357,10 +364,9 @@ impl GraphBuilder {
         }
         // Sends that have waited longer than 2·Tprop for an acknowledgment.
         let deadline = time.saturating_sub(2 * self.t_prop);
-        let first_id = VertexId(Digest::ZERO);
         let expired: Vec<_> = self
             .unacked
-            .range((node, 0, first_id)..(node, deadline, first_id))
+            .range((node, 0, VertexHandle::FIRST)..(node, deadline, VertexHandle::FIRST))
             .copied()
             .collect();
         for entry in expired {
@@ -384,31 +390,30 @@ impl GraphBuilder {
         from: NodeId,
         to: NodeId,
         delta: &TupleDelta,
-        vwhy: Option<VertexId>,
+        vwhy: Option<VertexHandle>,
         time: Timestamp,
-    ) -> VertexId {
+    ) -> VertexHandle {
         let kind = VertexKind::Send {
             node: from,
             peer: to,
             delta: delta.clone(),
             time,
         };
-        let id = kind.identity();
-        if !self.graph.contains(&id) {
-            self.graph.upsert_as(id, Vertex::new(kind, Color::Yellow));
-            self.nopreds.insert(id);
-            self.unacked.insert((from, time, id));
+        let (send, inserted) = self.graph.insert_if_absent(Vertex::new(kind, Color::Yellow));
+        if inserted {
+            self.nopreds.insert(send);
+            self.unacked.insert((from, time, send));
         }
         if let Some(why) = vwhy {
-            if self.nopreds.remove(&id) {
-                self.graph.add_edge(why, id);
+            if self.nopreds.remove(&send) {
+                self.graph.add_edge(why, send);
             }
         }
-        id
+        send
     }
 
     /// Returns the `(send, receive)` vertex pair of the notification `m`.
-    fn add_receive_vertex(&mut self, m: &Message, time: Timestamp) -> Option<(VertexId, VertexId)> {
+    fn add_receive_vertex(&mut self, m: &Message, time: Timestamp) -> Option<(VertexHandle, VertexHandle)> {
         let delta = m.as_delta()?;
         // Ensure the remote send vertex exists (it may not, if the sender's
         // events are not part of the history we are replaying).
@@ -419,19 +424,9 @@ impl GraphBuilder {
             delta: delta.clone(),
             time,
         };
-        let id = kind.identity();
-        if !self.graph.contains(&id) {
-            self.graph.upsert_as(id, Vertex::new(kind, Color::Yellow));
-        }
-        self.graph.add_edge(send, id);
-        Some((send, id))
-    }
-
-    fn add_red_unless_present(&mut self, kind: VertexKind) {
-        let id = kind.identity();
-        if !self.graph.contains(&id) {
-            self.graph.upsert_as(id, Vertex::new(kind, Color::Red));
-        }
+        let (receive, _) = self.graph.insert_if_absent(Vertex::new(kind, Color::Yellow));
+        self.graph.add_edge(send, receive);
+        Some((send, receive))
     }
 
     // ----- event handlers (Figure 11, left column) ---------------------------
@@ -543,26 +538,8 @@ impl GraphBuilder {
 
     /// Find the vertex to use as the provenance of body tuple `tuple` for a
     /// (un)derivation happening at `time` (lines 151–160 / 168–177).
-    fn body_vertex(&mut self, node: NodeId, tuple: &Tuple, time: Timestamp, appearing: bool) -> VertexId {
-        if appearing {
-            if let Some(v) = self.graph.believe_appear_at(node, tuple, time) {
-                return v;
-            }
-            if let Some(v) = self.graph.appear_at(node, tuple, time) {
-                return v;
-            }
-        } else {
-            if let Some(v) = self.graph.believe_disappear_at(node, tuple, time) {
-                return v;
-            }
-            if let Some(v) = self.graph.disappear_at(node, tuple, time) {
-                return v;
-            }
-        }
-        if let Some(v) = self.graph.open_believe(node, tuple) {
-            return v;
-        }
-        if let Some(v) = self.graph.open_exist(node, tuple) {
+    fn body_vertex(&mut self, node: NodeId, tuple: &Tuple, time: Timestamp, appearing: bool) -> VertexHandle {
+        if let Some(v) = self.graph.body_vertex(node, tuple, time, appearing) {
             return v;
         }
         // Fall back to (creating) an exist vertex; for correct traces this
@@ -632,18 +609,22 @@ impl GraphBuilder {
     /// the adopted view — both endpoints get red vertices.
     pub fn handle_extra_msg(&mut self, m: &Message) {
         let Some(delta) = m.as_delta() else { return };
-        self.add_red_unless_present(VertexKind::Send {
-            node: m.from,
-            peer: m.to,
-            delta: delta.clone(),
-            time: m.sent_at,
-        });
-        self.add_red_unless_present(VertexKind::Receive {
-            node: m.to,
-            peer: m.from,
-            delta: delta.clone(),
-            time: m.sent_at,
-        });
+        for kind in [
+            VertexKind::Send {
+                node: m.from,
+                peer: m.to,
+                delta: delta.clone(),
+                time: m.sent_at,
+            },
+            VertexKind::Receive {
+                node: m.to,
+                peer: m.from,
+                delta: delta.clone(),
+                time: m.sent_at,
+            },
+        ] {
+            self.graph.insert_if_absent(Vertex::new(kind, Color::Red));
+        }
     }
 }
 
@@ -714,9 +695,11 @@ mod tests {
         // The send and receive vertices are black (acknowledged).
         let send = graph
             .find_send(NodeId(1), NodeId(2), &reach(2, 1), Polarity::Plus, None)
+            .map(|send| graph.id(send))
             .expect("send vertex");
         let recv = graph
             .find_receive(NodeId(2), NodeId(1), &reach(2, 1), Polarity::Plus)
+            .map(|receive| graph.id(receive))
             .expect("receive vertex");
         assert_eq!(graph.vertex(&send).unwrap().color, Color::Black);
         assert_eq!(graph.vertex(&recv).unwrap().color, Color::Black);
@@ -813,6 +796,7 @@ mod tests {
         let graph = builder_for(&[1, 2]).build(&history);
         let recv = graph
             .find_receive(NodeId(2), NodeId(1), &reach(2, 1), Polarity::Plus)
+            .map(|receive| graph.id(receive))
             .expect("receive vertex");
         assert_eq!(
             graph.vertex(&recv).unwrap().color,
@@ -836,6 +820,7 @@ mod tests {
         let graph = builder_for(&[1, 2]).build(&history);
         let send = graph
             .find_send(NodeId(1), NodeId(2), &reach(2, 1), Polarity::Plus, None)
+            .map(|send| graph.id(send))
             .expect("send vertex");
         assert_eq!(graph.vertex(&send).unwrap().color, Color::Red);
     }

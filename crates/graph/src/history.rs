@@ -75,37 +75,54 @@ impl Message {
         }
     }
 
-    /// Stable byte encoding (used for digests and the tamper-evident log).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.from.to_bytes());
-        out.extend_from_slice(&self.to.to_bytes());
-        out.extend_from_slice(&self.sent_at.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
+    /// Stable byte encoding (used for digests and the tamper-evident log),
+    /// handed to `write` piece by piece: the one definition of the format
+    /// behind [`Message::encode`], [`Message::encoded_len`] and
+    /// [`Message::digest`].
+    pub fn encode_with<W: FnMut(&[u8])>(&self, write: &mut W) {
+        write(&self.from.to_bytes());
+        write(&self.to.to_bytes());
+        write(&self.sent_at.to_be_bytes());
+        write(&self.seq.to_be_bytes());
         match &self.body {
             MessageBody::Delta(delta) => {
-                out.push(match delta.polarity {
+                write(&[match delta.polarity {
                     snp_datalog::Polarity::Plus => b'+',
                     snp_datalog::Polarity::Minus => b'-',
-                });
-                out.extend_from_slice(&delta.tuple.encode());
+                }]);
+                delta.tuple.encode_with(write);
             }
             MessageBody::Ack { of } => {
-                out.push(b'a');
-                out.extend_from_slice(of.as_bytes());
+                write(b"a");
+                write(of.as_bytes());
             }
         }
+    }
+
+    /// The stable byte encoding.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_with(&mut |bytes| out.extend_from_slice(bytes));
         out
+    }
+
+    /// Length of the stable byte encoding, without building it.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        self.encode_with(&mut |bytes| len += bytes.len());
+        len
     }
 
     /// Content digest of the message.
     pub fn digest(&self) -> Digest {
-        snp_crypto::hash(&self.encode())
+        let mut hasher = snp_crypto::Hasher::new();
+        self.encode_with(&mut |bytes| hasher.write(bytes));
+        hasher.finish()
     }
 
     /// Approximate wire size of the message body in bytes.
     pub fn wire_size(&self) -> usize {
-        self.encode().len()
+        self.encoded_len()
     }
 }
 

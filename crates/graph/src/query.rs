@@ -245,7 +245,8 @@ mod tests {
         g.add_edge(appear_base, derive);
         g.add_edge(derive, appear_derived);
         g.add_edge(appear_derived, exist);
-        (g, vec![insert, appear_base, derive, appear_derived, exist])
+        let ids = [insert, appear_base, derive, appear_derived, exist].map(|v| g.id(v));
+        (g, ids.to_vec())
     }
 
     #[test]
@@ -279,7 +280,7 @@ mod tests {
     #[test]
     fn red_vertex_makes_explanation_illegitimate() {
         let (mut g, ids) = chain_graph();
-        g.set_color(ids[1], Color::Red);
+        g.set_color(g.handle(&ids[1]).unwrap(), Color::Red);
         let t = explain(&g, ids[4]);
         assert!(!is_legitimate_explanation(&g, &t));
     }
@@ -297,7 +298,7 @@ mod tests {
             },
             Color::Black,
         ));
-        let t = explain(&g, derive);
+        let t = explain(&g, g.id(derive));
         assert!(!is_legitimate_explanation(&g, &t));
     }
 

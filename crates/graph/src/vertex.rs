@@ -320,40 +320,40 @@ impl VertexKind {
     /// cf. `replace-with` in Figure 10).
     pub fn identity(&self) -> VertexId {
         // `until` is simply never written: every other field is.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(self.kind_name().as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&self.host().to_bytes());
-        bytes.extend_from_slice(&self.time().to_be_bytes());
-        bytes.extend_from_slice(&self.tuple().encode());
+        let mut hasher = snp_crypto::Hasher::new();
+        hasher.write(self.kind_name().as_bytes());
+        hasher.write(&[0]);
+        hasher.write(&self.host().to_bytes());
+        hasher.write(&self.time().to_be_bytes());
+        self.tuple().encode_with(&mut |bytes| hasher.write(bytes));
         match self {
             VertexKind::Send { peer, delta, .. } | VertexKind::Receive { peer, delta, .. } => {
-                bytes.extend_from_slice(&peer.to_bytes());
-                bytes.push(match delta.polarity {
+                hasher.write(&peer.to_bytes());
+                hasher.write(&[match delta.polarity {
                     Polarity::Plus => b'+',
                     Polarity::Minus => b'-',
-                });
+                }]);
             }
             VertexKind::BelieveAppear { peer, .. }
             | VertexKind::BelieveDisappear { peer, .. }
             | VertexKind::Believe { peer, .. } => {
-                bytes.extend_from_slice(&peer.to_bytes());
+                hasher.write(&peer.to_bytes());
             }
             VertexKind::Derive { rule, .. } | VertexKind::Underive { rule, .. } => {
-                bytes.extend_from_slice(rule.as_bytes());
+                hasher.write(rule.as_bytes());
             }
             VertexKind::MissingPrecondition { rule, peer, .. } => {
                 if let Some(rule) = rule {
-                    bytes.extend_from_slice(rule.as_bytes());
+                    hasher.write(rule.as_bytes());
                 }
-                bytes.push(0);
+                hasher.write(&[0]);
                 if let Some(peer) = peer {
-                    bytes.extend_from_slice(&peer.to_bytes());
+                    hasher.write(&peer.to_bytes());
                 }
             }
             _ => {}
         }
-        VertexId(snp_crypto::hash(&bytes))
+        VertexId(hasher.finish())
     }
 }
 

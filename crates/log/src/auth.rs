@@ -10,10 +10,11 @@ use snp_crypto::keys::{KeyPair, NodeId};
 use snp_crypto::sign::{PublicKey, Signature, SIGNATURE_WIRE_BYTES};
 use snp_crypto::{hash_concat, Digest};
 use snp_graph::vertex::Timestamp;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::fmt;
 
 /// A signed commitment to a log prefix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Authenticator {
     /// The node that issued the authenticator.
     pub node: NodeId,
@@ -80,9 +81,23 @@ impl Authenticator {
 
 /// The set `U_{i,j}` of authenticators node `i` holds from node `j`
 /// (here generalized: the querier also keeps one per node).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct AuthenticatorSet {
+    /// Per peer, in the order received: the order the consistency check
+    /// walks.
     by_peer: BTreeMap<NodeId, Vec<Authenticator>>,
+    /// Everything in `by_peer`, for the duplicate test of `add`.
+    seen: HashSet<Authenticator>,
+}
+
+// Node fingerprints hash this output: the received lists only, never the
+// hash set, whose iteration order differs from run to run.
+impl fmt::Debug for AuthenticatorSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AuthenticatorSet")
+            .field("by_peer", &self.by_peer)
+            .finish()
+    }
 }
 
 impl AuthenticatorSet {
@@ -93,9 +108,8 @@ impl AuthenticatorSet {
 
     /// Add an authenticator received from `auth.node`.
     pub fn add(&mut self, auth: Authenticator) {
-        let entry = self.by_peer.entry(auth.node).or_default();
-        if !entry.contains(&auth) {
-            entry.push(auth);
+        if self.seen.insert(auth) {
+            self.by_peer.entry(auth.node).or_default().push(auth);
         }
     }
 
@@ -197,6 +211,42 @@ mod tests {
         set.add(auth);
         set.add(auth);
         assert_eq!(set.len(), 1);
+    }
+
+    #[test]
+    fn many_adds_from_one_peer_stay_linear_and_keep_arrival_order() {
+        // Unsigned stand-ins (the set never looks at signatures), arriving
+        // out of seq order and with every tenth one repeated.
+        const ADDS: u64 = 100_000;
+        let arrival = |i: u64| Authenticator {
+            node: NodeId(7),
+            seq: (i * 7919) % ADDS,
+            timestamp: i,
+            head: Digest::ZERO,
+            signature: Signature { e: i, s: 0 },
+        };
+        let started = std::time::Instant::now();
+        let mut set = AuthenticatorSet::new();
+        for i in 0..ADDS {
+            set.add(arrival(i));
+            if i % 10 == 0 {
+                set.add(arrival(i / 2));
+            }
+        }
+        // A scan of the peer's list per add is 5·10⁹ comparisons here — minutes
+        // in a debug build; a set lookup per add is well under a second.
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(20),
+            "{ADDS} adds took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(set.len() as u64, ADDS);
+        assert!(set.from_peer(NodeId(7)).iter().copied().eq((0..ADDS).map(arrival)));
+        assert_eq!(
+            format!("{set:?}"),
+            format!("AuthenticatorSet {{ by_peer: {:?} }}", set.by_peer),
+            "node fingerprints hash the Debug output: the received lists and nothing else"
+        );
     }
 
     #[test]

@@ -36,10 +36,15 @@ pub struct CheckpointEntry {
 }
 
 impl CheckpointEntry {
-    fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = self.tuple.encode();
         out.extend_from_slice(&self.appeared_at.to_be_bytes());
         out
+    }
+
+    /// Length of [`CheckpointEntry::encode`]'s output, without building it.
+    pub(crate) fn encoded_len(&self) -> usize {
+        self.tuple.encoded_len() + 8
     }
 }
 
@@ -168,7 +173,10 @@ impl Checkpoint {
     /// Serialized size in bytes (for the storage accounting of §7.5).
     pub fn storage_size(&self) -> usize {
         // root + state digest + chain head, header ints, signature, entries.
-        3 * Digest::LEN + 3 * 8 + SIGNATURE_WIRE_BYTES + self.entries.iter().map(|e| e.encode().len()).sum::<usize>()
+        3 * Digest::LEN
+            + 3 * 8
+            + SIGNATURE_WIRE_BYTES
+            + self.entries.iter().map(CheckpointEntry::encoded_len).sum::<usize>()
     }
 
     /// Produce a partial checkpoint: the entries whose tuples satisfy the
@@ -236,7 +244,7 @@ impl PartialCheckpoint {
     pub fn download_size(&self) -> usize {
         self.entries
             .iter()
-            .map(|(e, p)| e.encode().len() + p.siblings.len() * Digest::LEN + 16)
+            .map(|(e, p)| e.encoded_len() + p.siblings.len() * Digest::LEN + 16)
             .sum::<usize>()
             + Digest::LEN
             + 16

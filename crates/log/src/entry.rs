@@ -72,35 +72,49 @@ pub struct LogEntry {
 }
 
 impl LogEntry {
-    /// Stable byte encoding hashed into the chain.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.timestamp.to_be_bytes());
-        out.extend_from_slice(self.kind.kind_name().as_bytes());
-        out.push(0);
+    /// Stable byte encoding hashed into the chain, handed to `write` piece
+    /// by piece: the one definition of the format behind
+    /// [`LogEntry::encode`] and [`LogEntry::encoded_len`].
+    pub fn encode_with<W: FnMut(&[u8])>(&self, write: &mut W) {
+        write(&self.seq.to_be_bytes());
+        write(&self.timestamp.to_be_bytes());
+        write(self.kind.kind_name().as_bytes());
+        write(&[0]);
         match &self.kind {
-            EntryKind::Snd { message } => out.extend_from_slice(&message.encode()),
+            EntryKind::Snd { message } => message.encode_with(write),
             EntryKind::Rcv {
                 message,
                 sender_auth_digest,
             } => {
-                out.extend_from_slice(&message.encode());
-                out.extend_from_slice(sender_auth_digest.as_bytes());
+                message.encode_with(write);
+                write(sender_auth_digest.as_bytes());
             }
             EntryKind::Ack { of, peer_auth_digest } => {
-                out.extend_from_slice(of.as_bytes());
-                out.extend_from_slice(peer_auth_digest.as_bytes());
+                write(of.as_bytes());
+                write(peer_auth_digest.as_bytes());
             }
-            EntryKind::Ins { tuple } | EntryKind::Del { tuple } => out.extend_from_slice(&tuple.encode()),
+            EntryKind::Ins { tuple } | EntryKind::Del { tuple } => tuple.encode_with(write),
         }
+    }
+
+    /// The stable byte encoding.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_with(&mut |bytes| out.extend_from_slice(bytes));
         out
+    }
+
+    /// Length of the stable byte encoding, without building it.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        self.encode_with(&mut |bytes| len += bytes.len());
+        len
     }
 
     /// Size of the entry on disk, in bytes (used for Figure 6's log-growth
     /// accounting).
     pub fn storage_size(&self) -> usize {
-        self.encode().len()
+        self.encoded_len()
     }
 }
 
@@ -151,6 +165,96 @@ mod tests {
         assert_ne!(base.encode(), other_seq.encode());
         assert_ne!(base.encode(), other_time.encode());
         assert_ne!(base.encode(), other_kind.encode());
+    }
+
+    #[test]
+    fn property_encoded_len_is_the_length_of_the_encoding() {
+        use snp_sim::rng::DetRng;
+
+        fn value(rng: &mut DetRng, depth: u32) -> Value {
+            match rng.next_below(if depth < 3 { 5 } else { 4 }) {
+                0 => Value::Int(rng.next_u64() as i64),
+                1 => Value::str("é".repeat(rng.next_below(40) as usize)),
+                2 => Value::node(rng.next_u64()),
+                3 => Value::Wild,
+                _ => Value::List((0..rng.next_below(4)).map(|_| value(rng, depth + 1)).collect()),
+            }
+        }
+        fn random_tuple(rng: &mut DetRng) -> Tuple {
+            let relation = "r".repeat(rng.next_below(12) as usize);
+            let args = (0..rng.next_below(5)).map(|_| value(rng, 0)).collect();
+            Tuple::new(relation, NodeId(rng.next_u64()), args)
+        }
+        fn random_message(rng: &mut DetRng) -> Message {
+            let delta = match rng.next_below(2) {
+                0 => TupleDelta::plus(random_tuple(rng)),
+                _ => TupleDelta::minus(random_tuple(rng)),
+            };
+            let message = Message::delta(
+                NodeId(rng.next_u64()),
+                NodeId(rng.next_u64()),
+                delta,
+                rng.next_u64(),
+                rng.next_u64(),
+            );
+            match rng.next_below(3) {
+                0 => Message::ack(&message, rng.next_u64(), rng.next_u64()),
+                _ => message,
+            }
+        }
+
+        let mut rng = DetRng::new(0x5e1f);
+        for round in 0..400u32 {
+            let tuple = random_tuple(&mut rng);
+            for arg in &tuple.args {
+                let mut bytes = Vec::new();
+                arg.encode(&mut bytes);
+                assert_eq!(arg.encoded_len(), bytes.len(), "round {round}: {arg:?}");
+            }
+            assert_eq!(tuple.encoded_len(), tuple.encode().len(), "round {round}: {tuple}");
+            assert_eq!(tuple.wire_size(), tuple.encode().len());
+            let message = random_message(&mut rng);
+            assert_eq!(
+                message.encoded_len(),
+                message.encode().len(),
+                "round {round}: {message}"
+            );
+            assert_eq!(message.wire_size(), message.encode().len());
+            assert_eq!(
+                message.digest(),
+                snp_crypto::hash(&message.encode()),
+                "round {round}: {message}"
+            );
+            let checkpointed = crate::checkpoint::CheckpointEntry {
+                tuple: tuple.clone(),
+                appeared_at: rng.next_u64(),
+            };
+            assert_eq!(checkpointed.encoded_len(), checkpointed.encode().len(), "round {round}");
+            let digest = snp_crypto::hash(&round.to_be_bytes());
+            for kind in [
+                EntryKind::Snd {
+                    message: message.clone(),
+                },
+                EntryKind::Rcv {
+                    message,
+                    sender_auth_digest: digest,
+                },
+                EntryKind::Ack {
+                    of: digest,
+                    peer_auth_digest: digest,
+                },
+                EntryKind::Ins { tuple: tuple.clone() },
+                EntryKind::Del { tuple },
+            ] {
+                let entry = LogEntry {
+                    seq: rng.next_u64(),
+                    timestamp: rng.next_u64(),
+                    kind,
+                };
+                assert_eq!(entry.encoded_len(), entry.encode().len(), "round {round}: {entry:?}");
+                assert_eq!(entry.storage_size(), entry.encode().len());
+            }
+        }
     }
 
     #[test]

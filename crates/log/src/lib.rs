@@ -41,7 +41,7 @@ pub use auth::{Authenticator, AuthenticatorSet};
 pub use batch::{Batch, MessageBatcher};
 pub use checkpoint::{Checkpoint, CheckpointEntry, PartialCheckpoint};
 pub use entry::{EntryKind, LogEntry};
-pub use log::{chain_span, verify_suffix, LogSegment, LogStats, SecureLog, SegmentError};
+pub use log::{chain_span, verify_suffix, verify_suffix_observing, LogSegment, LogStats, SecureLog, SegmentError};
 pub use snp_crypto::keys::NodeId;
 pub use store::{FileSegmentStore, MemSegmentStore, RecoveryReport, SegmentStore, StoreError, StoredLog};
 pub use verifier::SegmentVerifier;

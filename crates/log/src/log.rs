@@ -685,6 +685,21 @@ pub fn verify_suffix(
     auth: &Authenticator,
     public: &PublicKey,
 ) -> Result<(), SegmentError> {
+    verify_suffix_observing(segments, anchor_seq, anchor_head, auth, public, |_, _| {})
+}
+
+/// [`verify_suffix`], with `on_link(seq, head)` observing the chain head
+/// after every entry of the one walk that verifies the suffix — the heads the
+/// §5.5 consistency check compares peer-held authenticators with.  What was
+/// observed is only meaningful if the result is `Ok`.
+pub fn verify_suffix_observing(
+    segments: &[LogSegment],
+    anchor_seq: u64,
+    anchor_head: Digest,
+    auth: &Authenticator,
+    public: &PublicKey,
+    mut on_link: impl FnMut(u64, Digest),
+) -> Result<(), SegmentError> {
     for segment in segments {
         if segment.node != auth.node {
             return Err(SegmentError::WrongNode);
@@ -714,6 +729,7 @@ pub fn verify_suffix(
             covered = true;
             mismatch = head != auth.head;
         }
+        on_link(seq, head);
     })?;
     if mismatch {
         return Err(SegmentError::HeadMismatch);
@@ -1013,6 +1029,19 @@ mod tests {
                 Ok(()),
                 "anchor epoch {anchor_epoch}"
             );
+            // The verifying walk hands out exactly the heads a second walk would.
+            let (mut observed, mut walked) = (Vec::new(), Vec::new());
+            let observe = |seq, head| observed.push((seq, head));
+            assert_eq!(
+                verify_suffix_observing(&segments, cp.at_seq, cp.chain_head, &auth, &keys(1).public, observe),
+                Ok(())
+            );
+            chain_span(&segments, cp.at_seq, cp.chain_head, |seq, head| {
+                walked.push((seq, head))
+            })
+            .unwrap();
+            assert_eq!(observed, walked);
+            assert_eq!(observed.last(), Some(&(auth.seq, auth.head)));
         }
     }
 
