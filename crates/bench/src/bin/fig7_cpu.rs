@@ -11,42 +11,56 @@ use snp_bench::json::{write_json, Json};
 use snp_bench::{batching_scenario, print_row, run_batching_point, Config, BATCH_WINDOWS_US};
 use snp_crypto::counters;
 use snp_crypto::keys::{KeyPair, NodeId};
+use std::hint::black_box;
 use std::time::Instant;
 
-/// Measure the per-operation cost of sign / verify / hash.
-fn measure_costs() -> (f64, f64, f64) {
+/// Measure the per-operation cost, in seconds, of sign / verify / hashing
+/// 1 KiB / hashing a 55-byte message (the most one SHA-256 block holds).
+///
+/// Each op is timed in rounds interleaved with the others' and keeps its best
+/// round, so a spell of contention on the machine neither counts nor skews
+/// one op against another (the verify-to-hash ratio is gated).
+fn measure_costs() -> (f64, f64, f64, f64) {
     let keys = KeyPair::for_node(NodeId(0));
     let digest = snp_crypto::hash(b"cost measurement message");
-    let iterations = 2_000u32;
-
-    let start = Instant::now();
-    for _ in 0..iterations {
-        let _ = keys.secret.sign(&digest);
-    }
-    let sign_cost = start.elapsed().as_secs_f64() / iterations as f64;
-
     let sig = keys.secret.sign(&digest);
-    let start = Instant::now();
-    for _ in 0..iterations {
-        let _ = keys.public.verify(&digest, &sig);
-    }
-    let verify_cost = start.elapsed().as_secs_f64() / iterations as f64;
-
     let payload = vec![0u8; 1024];
-    let start = Instant::now();
-    for _ in 0..iterations {
-        let _ = snp_crypto::sha256::sha256(&payload);
+    let block = [0u8; 55];
+    let mut ops: [(u32, &mut dyn FnMut()); 4] = [
+        (2_000, &mut || {
+            black_box(keys.secret.sign(black_box(&digest)));
+        }),
+        (2_000, &mut || {
+            black_box(keys.public.verify(black_box(&digest), black_box(&sig)));
+        }),
+        (2_000, &mut || {
+            black_box(snp_crypto::sha256::sha256(black_box(&payload)));
+        }),
+        (20_000, &mut || {
+            black_box(snp_crypto::sha256::sha256(black_box(&block)));
+        }),
+    ];
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..5 {
+        for ((iterations, op), best) in ops.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            for _ in 0..*iterations {
+                op();
+            }
+            *best = best.min(start.elapsed().as_secs_f64() / f64::from(*iterations));
+        }
     }
-    let hash_cost_per_kb = start.elapsed().as_secs_f64() / iterations as f64;
-    (sign_cost, verify_cost, hash_cost_per_kb)
+    (best[0], best[1], best[2], best[3])
 }
 
 fn main() {
     let smoke = snp_bench::smoke();
     println!("Figure 7 — additional CPU load from cryptography\n");
-    let (sign_cost, verify_cost, hash_cost_per_kb) = measure_costs();
+    let (sign_cost, verify_cost, hash_cost_per_kb, hash_block_cost) = measure_costs();
+    // Machine-normalised verification cost: in one-block hashes.
+    let verify_blocks = verify_cost / hash_block_cost;
     println!(
-        "measured per-op cost: sign {:.2} µs, verify {:.2} µs, hash {:.2} µs/KiB\n",
+        "measured per-op cost: sign {:.2} µs, verify {:.2} µs ({verify_blocks:.2} one-block hashes), hash {:.2} µs/KiB\n",
         sign_cost * 1e6,
         verify_cost * 1e6,
         hash_cost_per_kb * 1e6
@@ -190,6 +204,7 @@ fn main() {
                     ("sign_us", Json::Num(sign_cost * 1e6)),
                     ("verify_us", Json::Num(verify_cost * 1e6)),
                     ("hash_us_per_kib", Json::Num(hash_cost_per_kb * 1e6)),
+                    ("verify_blocks", Json::Num(verify_blocks)),
                 ]),
             ),
             ("configs", Json::Arr(config_rows)),

@@ -63,6 +63,7 @@ impl Hasher {
     }
 
     /// Absorb `bytes`.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         self.sha.update(bytes);
         self.len += bytes.len();
@@ -86,6 +87,28 @@ pub fn hash_concat(parts: &[&[u8]]) -> Digest {
         hasher.write(part);
     }
     hasher.finish()
+}
+
+/// splitmix64 for the unit tests: `snp-sim`'s `DetRng` sits above this crate,
+/// so depending on it would form a cycle.
+#[cfg(test)]
+pub(crate) mod test_rng {
+    pub(crate) struct SplitMix(pub(crate) u64);
+
+    impl SplitMix {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform-enough draw from `0..n`.
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! can download and verify only the checkpoint entries relevant to a query.
 
 use crate::digest::Digest;
-use crate::hash_concat;
+use crate::{hash_concat, Hasher};
 
 /// A Merkle tree over an ordered list of leaves.
 #[derive(Clone, Debug)]
@@ -27,12 +27,49 @@ pub struct MerkleProof {
     pub leaf_count: usize,
 }
 
+const LEAF_TAG: &[u8] = b"snp-merkle-leaf";
+
 fn leaf_hash(data: &[u8]) -> Digest {
-    hash_concat(&[b"snp-merkle-leaf", data])
+    leaf_hash_with(data.len(), |hasher| hasher.write(data))
+}
+
+/// The leaf digest of a `len`-byte leaf whose bytes `stream` writes into the
+/// hasher: the same digest (and the same hash-counter charge) as hashing the
+/// assembled leaf, without assembling it.
+pub fn leaf_hash_with(len: usize, stream: impl FnOnce(&mut Hasher)) -> Digest {
+    // The framing `hash_concat(&[LEAF_TAG, leaf])` applies.
+    let mut hasher = Hasher::new();
+    hasher.write(&(LEAF_TAG.len() as u64).to_be_bytes());
+    hasher.write(LEAF_TAG);
+    hasher.write(&(len as u64).to_be_bytes());
+    stream(&mut hasher);
+    hasher.finish()
 }
 
 fn node_hash(left: &Digest, right: &Digest) -> Digest {
     hash_concat(&[b"snp-merkle-node", left.as_bytes(), right.as_bytes()])
+}
+
+/// The parent of one or two adjacent nodes.  An odd node at the end of a
+/// level is paired with itself, keeping the proof logic uniform.
+fn parent(pair: &[Digest]) -> Digest {
+    node_hash(&pair[0], &pair[pair.len() - 1])
+}
+
+/// The root of the tree over leaves with digests `level` (see
+/// [`leaf_hash_with`]), folded level by level in place: equal to
+/// [`MerkleTree::build`]`(..).root()` without keeping the levels, for callers
+/// that need no proofs.
+pub fn root_of_leaf_hashes(mut level: Vec<Digest>) -> Digest {
+    while level.len() > 1 {
+        let width = level.len().div_ceil(2);
+        for i in 0..width {
+            // Reads `2i` and `2i + 1`, both at or after the slot written.
+            level[i] = parent(&level[2 * i..(2 * i + 2).min(level.len())]);
+        }
+        level.truncate(width);
+    }
+    level.first().copied().unwrap_or(Digest::ZERO)
 }
 
 impl MerkleTree {
@@ -45,18 +82,7 @@ impl MerkleTree {
         }
         let mut levels = vec![leaf_hashes];
         while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                let combined = if pair.len() == 2 {
-                    node_hash(&pair[0], &pair[1])
-                } else {
-                    // Odd node is promoted by hashing with itself, keeping the
-                    // proof logic uniform.
-                    node_hash(&pair[0], &pair[0])
-                };
-                next.push(combined);
-            }
+            let next = levels.last().expect("non-empty").chunks(2).map(parent).collect();
             levels.push(next);
         }
         MerkleTree { levels }
@@ -188,6 +214,16 @@ mod tests {
                 let proof = tree.prove(i).expect("proof");
                 assert!(MerkleTree::verify(&tree.root(), leaf, &proof), "seed={seed}, i={i}");
             }
+        }
+    }
+
+    #[test]
+    fn folded_root_matches_built_tree() {
+        for n in 0..=70 {
+            let data = leaves(n);
+            let tree = MerkleTree::build(data.iter().map(|v| v.as_slice()));
+            let hashes = data.iter().map(|leaf| leaf_hash(leaf)).collect();
+            assert_eq!(root_of_leaf_hashes(hashes), tree.root(), "n={n}");
         }
     }
 

@@ -20,7 +20,7 @@
 //! checkpoints").
 
 use snp_crypto::keys::{KeyPair, NodeId};
-use snp_crypto::merkle::{MerkleProof, MerkleTree};
+use snp_crypto::merkle::{self, MerkleProof, MerkleTree};
 use snp_crypto::sign::{PublicKey, Signature, SIGNATURE_WIRE_BYTES};
 use snp_crypto::{hash_concat, Digest};
 use snp_datalog::Tuple;
@@ -36,9 +36,16 @@ pub struct CheckpointEntry {
 }
 
 impl CheckpointEntry {
+    /// The entry's byte encoding (its Merkle leaf), handed to `write` piece
+    /// by piece: the tuple, then the big-endian appearance time.
+    pub(crate) fn encode_with<W: FnMut(&[u8])>(&self, write: &mut W) {
+        self.tuple.encode_with(write);
+        write(&self.appeared_at.to_be_bytes());
+    }
+
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = self.tuple.encode();
-        out.extend_from_slice(&self.appeared_at.to_be_bytes());
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_with(&mut |bytes| out.extend_from_slice(bytes));
         out
     }
 
@@ -81,6 +88,21 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// The Merkle root over the snapshot digest and the entries, from leaf
+    /// digests streamed out of the entries — no leaf bytes and no tree are
+    /// built.  Equal to `MerkleTree::build` over [`Checkpoint::merkle_leaves`].
+    fn merkle_root(state_digest: &Digest, entries: &[CheckpointEntry]) -> Digest {
+        let mut leaves = Vec::with_capacity(entries.len() + 1);
+        leaves.push(merkle::leaf_hash_with(Digest::LEN, |h| {
+            h.write(state_digest.as_bytes())
+        }));
+        leaves.extend(entries.iter().map(|entry| {
+            merkle::leaf_hash_with(entry.encoded_len(), |h| entry.encode_with(&mut |bytes| h.write(bytes)))
+        }));
+        merkle::root_of_leaf_hashes(leaves)
+    }
+
+    /// The serialized Merkle leaves, for building a tree that can prove them.
     fn merkle_leaves(state_digest: &Digest, entries: &[CheckpointEntry]) -> Vec<Vec<u8>> {
         let mut leaves = Vec::with_capacity(entries.len() + 1);
         leaves.push(state_digest.as_bytes().to_vec());
@@ -120,9 +142,7 @@ impl Checkpoint {
         chain_head: Digest,
     ) -> Checkpoint {
         entries.sort_by(|a, b| a.tuple.cmp(&b.tuple).then(a.appeared_at.cmp(&b.appeared_at)));
-        let leaves = Self::merkle_leaves(&state_digest, &entries);
-        let tree = MerkleTree::build(leaves.iter().map(|v| v.as_slice()));
-        let root = tree.root();
+        let root = Self::merkle_root(&state_digest, &entries);
         let digest = Self::signed_digest(keys.node, epoch, at_seq, timestamp, &chain_head, &root);
         Checkpoint {
             node: keys.node,
@@ -208,8 +228,7 @@ impl Checkpoint {
         if self.pruned {
             return false;
         }
-        let leaves = Self::merkle_leaves(&self.state_digest, &self.entries);
-        MerkleTree::build(leaves.iter().map(|v| v.as_slice())).root() == self.root
+        Self::merkle_root(&self.state_digest, &self.entries) == self.root
     }
 
     /// Verify that `snapshot` is the exact state snapshot this checkpoint
@@ -304,8 +323,7 @@ mod tests {
         let mut cp = sealed(5);
         cp.state_digest = snp_crypto::hash(b"forged state");
         assert!(!cp.verify_root());
-        let leaves = Checkpoint::merkle_leaves(&cp.state_digest, &cp.entries);
-        cp.root = MerkleTree::build(leaves.iter().map(|v| v.as_slice())).root();
+        cp.root = Checkpoint::merkle_root(&cp.state_digest, &cp.entries);
         assert!(cp.verify_root());
         assert!(!cp.verify_signature(&keys().public));
     }
@@ -356,6 +374,17 @@ mod tests {
         let mut partial = cp.partial(|t| t.int_arg(0) == Some(3));
         partial.entries[0].0.tuple = Tuple::new("route", NodeId(1), vec![Value::Int(777)]);
         assert!(!partial.verify());
+    }
+
+    #[test]
+    fn streamed_root_matches_built_tree() {
+        let state = snp_crypto::hash(b"machine state");
+        for n in 0..=70 {
+            let entries = entries(n);
+            let leaves = Checkpoint::merkle_leaves(&state, &entries);
+            let built = MerkleTree::build(leaves.iter().map(|v| v.as_slice())).root();
+            assert_eq!(Checkpoint::merkle_root(&state, &entries), built, "{n} entries");
+        }
     }
 
     #[test]
