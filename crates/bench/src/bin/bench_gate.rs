@@ -77,10 +77,14 @@ const GATES: &[Gate] = &[
     // per-op costs and CPU percentages are not gated, except one
     // machine-normalised ratio: `verify_blocks`, a verification's cost in
     // hashes of a one-block (55-byte) message, timed in the same process.
-    // Mersenne reduction plus the fixed-base table measure ≈ 3.1–3.2; the
-    // textbook arithmetic (`u128 %`, a library call, and square-and-multiply
-    // for `g^s`) ≈ 6.2–6.8 against the same hash.  The cap sits halfway, so
-    // a return to the textbook arithmetic fails.
+    // On a 2-core Xeon, 20 alternating smoke runs each: Mersenne reduction
+    // plus the fixed-base table read 2.6–3.4 (mostly 3.1–3.2); the textbook
+    // arithmetic (`u128 %`, a library call, and square-and-multiply for
+    // `g^s`) read 4.9–6.9 (mostly 6.2–6.3) against the same hash.  The low
+    // readings on both sides came from runs on a busy machine, where the
+    // hash slowed more than the verification.  The cap of 4.1 sits near the
+    // geometric midpoint of 3.4 and 4.9, so a return to the textbook
+    // arithmetic fails even on a busy machine.  Other CPUs are not measured.
     Gate {
         file: "BENCH_fig7.json",
         path: "configs.0.signatures",
@@ -99,7 +103,7 @@ const GATES: &[Gate] = &[
     Gate {
         file: "BENCH_fig7.json",
         path: "per_op_cost.verify_blocks",
-        check: Check::Max(5.0),
+        check: Check::Max(4.1),
     },
     // fig8: audit and replay-entry counts per query row are deterministic.
     // The negative rows (`why_absent`) are gated so the cost of auditing an

@@ -14,51 +14,60 @@ use snp_crypto::keys::{KeyPair, NodeId};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Measure the per-operation cost, in seconds, of sign / verify / hashing
-/// 1 KiB / hashing a 55-byte message (the most one SHA-256 block holds).
-///
-/// Each op is timed in rounds interleaved with the others' and keeps its best
-/// round, so a spell of contention on the machine neither counts nor skews
-/// one op against another (the verify-to-hash ratio is gated).
-fn measure_costs() -> (f64, f64, f64, f64) {
+/// Mean wall-clock seconds per call of `op` over `iterations` calls.
+fn mean_cost(iterations: u32, mut op: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iterations {
+        op();
+    }
+    start.elapsed().as_secs_f64() / f64::from(iterations)
+}
+
+/// Measure the per-operation cost of sign / verify / hash.
+fn measure_costs() -> (f64, f64, f64) {
     let keys = KeyPair::for_node(NodeId(0));
     let digest = snp_crypto::hash(b"cost measurement message");
     let sig = keys.secret.sign(&digest);
     let payload = vec![0u8; 1024];
+    let sign_cost = mean_cost(2_000, || {
+        black_box(keys.secret.sign(black_box(&digest)));
+    });
+    let verify_cost = mean_cost(2_000, || {
+        black_box(keys.public.verify(black_box(&digest), black_box(&sig)));
+    });
+    let hash_cost_per_kb = mean_cost(2_000, || {
+        black_box(snp_crypto::sha256::sha256(black_box(&payload)));
+    });
+    (sign_cost, verify_cost, hash_cost_per_kb)
+}
+
+/// A verification's cost in hashes of a 55-byte message (the most one
+/// SHA-256 block holds): a machine-normalised ratio the bench gate caps.
+/// The two ops are timed in many short interleaved rounds (≈ 0.5 ms each)
+/// and each keeps its fastest round, so a spell of contention on the machine
+/// skews neither against the other.
+fn measure_verify_blocks() -> f64 {
+    let keys = KeyPair::for_node(NodeId(0));
+    let digest = snp_crypto::hash(b"cost measurement message");
+    let sig = keys.secret.sign(&digest);
     let block = [0u8; 55];
-    let mut ops: [(u32, &mut dyn FnMut()); 4] = [
-        (2_000, &mut || {
-            black_box(keys.secret.sign(black_box(&digest)));
-        }),
-        (2_000, &mut || {
+    let (mut verify, mut hash) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..40 {
+        verify = verify.min(mean_cost(500, || {
             black_box(keys.public.verify(black_box(&digest), black_box(&sig)));
-        }),
-        (2_000, &mut || {
-            black_box(snp_crypto::sha256::sha256(black_box(&payload)));
-        }),
-        (20_000, &mut || {
+        }));
+        hash = hash.min(mean_cost(2_500, || {
             black_box(snp_crypto::sha256::sha256(black_box(&block)));
-        }),
-    ];
-    let mut best = [f64::INFINITY; 4];
-    for _ in 0..5 {
-        for ((iterations, op), best) in ops.iter_mut().zip(&mut best) {
-            let start = Instant::now();
-            for _ in 0..*iterations {
-                op();
-            }
-            *best = best.min(start.elapsed().as_secs_f64() / f64::from(*iterations));
-        }
+        }));
     }
-    (best[0], best[1], best[2], best[3])
+    verify / hash
 }
 
 fn main() {
     let smoke = snp_bench::smoke();
     println!("Figure 7 — additional CPU load from cryptography\n");
-    let (sign_cost, verify_cost, hash_cost_per_kb, hash_block_cost) = measure_costs();
-    // Machine-normalised verification cost: in one-block hashes.
-    let verify_blocks = verify_cost / hash_block_cost;
+    let (sign_cost, verify_cost, hash_cost_per_kb) = measure_costs();
+    let verify_blocks = measure_verify_blocks();
     println!(
         "measured per-op cost: sign {:.2} µs, verify {:.2} µs ({verify_blocks:.2} one-block hashes), hash {:.2} µs/KiB\n",
         sign_cost * 1e6,

@@ -69,6 +69,17 @@ impl Hasher {
         self.len += bytes.len();
     }
 
+    /// Absorb one length-framed part of `len` bytes, which `stream` writes:
+    /// the big-endian `u64` length, then the bytes.  This is the framing
+    /// [`hash_concat`] applies to each of its parts.
+    #[inline]
+    pub fn write_part(&mut self, len: usize, stream: impl FnOnce(&mut Hasher)) {
+        self.write(&(len as u64).to_be_bytes());
+        let start = self.len;
+        stream(self);
+        debug_assert_eq!(self.len - start, len, "part length does not match its framing");
+    }
+
     /// The digest of everything written.
     pub fn finish(self) -> Digest {
         counters::record_hash(self.len);
@@ -83,8 +94,7 @@ impl Hasher {
 pub fn hash_concat(parts: &[&[u8]]) -> Digest {
     let mut hasher = Hasher::new();
     for part in parts {
-        hasher.write(&(part.len() as u64).to_be_bytes());
-        hasher.write(part);
+        hasher.write_part(part.len(), |h| h.write(part));
     }
     hasher.finish()
 }

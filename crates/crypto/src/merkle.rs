@@ -37,12 +37,10 @@ fn leaf_hash(data: &[u8]) -> Digest {
 /// hasher: the same digest (and the same hash-counter charge) as hashing the
 /// assembled leaf, without assembling it.
 pub fn leaf_hash_with(len: usize, stream: impl FnOnce(&mut Hasher)) -> Digest {
-    // The framing `hash_concat(&[LEAF_TAG, leaf])` applies.
+    // `hash_concat(&[LEAF_TAG, leaf])`, with the leaf streamed.
     let mut hasher = Hasher::new();
-    hasher.write(&(LEAF_TAG.len() as u64).to_be_bytes());
-    hasher.write(LEAF_TAG);
-    hasher.write(&(len as u64).to_be_bytes());
-    stream(&mut hasher);
+    hasher.write_part(LEAF_TAG.len(), |h| h.write(LEAF_TAG));
+    hasher.write_part(len, stream);
     hasher.finish()
 }
 
@@ -56,27 +54,16 @@ fn parent(pair: &[Digest]) -> Digest {
     node_hash(&pair[0], &pair[pair.len() - 1])
 }
 
-/// The root of the tree over leaves with digests `level` (see
-/// [`leaf_hash_with`]), folded level by level in place: equal to
-/// [`MerkleTree::build`]`(..).root()` without keeping the levels, for callers
-/// that need no proofs.
-pub fn root_of_leaf_hashes(mut level: Vec<Digest>) -> Digest {
-    while level.len() > 1 {
-        let width = level.len().div_ceil(2);
-        for i in 0..width {
-            // Reads `2i` and `2i + 1`, both at or after the slot written.
-            level[i] = parent(&level[2 * i..(2 * i + 2).min(level.len())]);
-        }
-        level.truncate(width);
-    }
-    level.first().copied().unwrap_or(Digest::ZERO)
-}
-
 impl MerkleTree {
     /// Build a tree over serialized leaves.  An empty leaf set yields a tree
     /// whose root is `Digest::ZERO`.
     pub fn build<'a>(leaves: impl IntoIterator<Item = &'a [u8]>) -> MerkleTree {
-        let leaf_hashes: Vec<Digest> = leaves.into_iter().map(leaf_hash).collect();
+        MerkleTree::from_leaf_hashes(leaves.into_iter().map(leaf_hash).collect())
+    }
+
+    /// Build a tree over leaves already hashed with [`leaf_hash_with`], so a
+    /// caller that can stream its leaves never assembles their bytes.
+    pub fn from_leaf_hashes(leaf_hashes: Vec<Digest>) -> MerkleTree {
         if leaf_hashes.is_empty() {
             return MerkleTree { levels: Vec::new() };
         }
@@ -214,16 +201,6 @@ mod tests {
                 let proof = tree.prove(i).expect("proof");
                 assert!(MerkleTree::verify(&tree.root(), leaf, &proof), "seed={seed}, i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn folded_root_matches_built_tree() {
-        for n in 0..=70 {
-            let data = leaves(n);
-            let tree = MerkleTree::build(data.iter().map(|v| v.as_slice()));
-            let hashes = data.iter().map(|leaf| leaf_hash(leaf)).collect();
-            assert_eq!(root_of_leaf_hashes(hashes), tree.root(), "n={n}");
         }
     }
 

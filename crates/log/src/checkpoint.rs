@@ -88,10 +88,10 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The Merkle root over the snapshot digest and the entries, from leaf
-    /// digests streamed out of the entries — no leaf bytes and no tree are
-    /// built.  Equal to `MerkleTree::build` over [`Checkpoint::merkle_leaves`].
-    fn merkle_root(state_digest: &Digest, entries: &[CheckpointEntry]) -> Digest {
+    /// The Merkle tree over the snapshot digest (leaf 0) and the entries
+    /// (leaves 1..), with each leaf digest streamed out of its entry rather
+    /// than hashed from assembled leaf bytes.
+    fn merkle_tree(state_digest: &Digest, entries: &[CheckpointEntry]) -> MerkleTree {
         let mut leaves = Vec::with_capacity(entries.len() + 1);
         leaves.push(merkle::leaf_hash_with(Digest::LEN, |h| {
             h.write(state_digest.as_bytes())
@@ -99,15 +99,7 @@ impl Checkpoint {
         leaves.extend(entries.iter().map(|entry| {
             merkle::leaf_hash_with(entry.encoded_len(), |h| entry.encode_with(&mut |bytes| h.write(bytes)))
         }));
-        merkle::root_of_leaf_hashes(leaves)
-    }
-
-    /// The serialized Merkle leaves, for building a tree that can prove them.
-    fn merkle_leaves(state_digest: &Digest, entries: &[CheckpointEntry]) -> Vec<Vec<u8>> {
-        let mut leaves = Vec::with_capacity(entries.len() + 1);
-        leaves.push(state_digest.as_bytes().to_vec());
-        leaves.extend(entries.iter().map(|e| e.encode()));
-        leaves
+        MerkleTree::from_leaf_hashes(leaves)
     }
 
     /// The digest the node signs.
@@ -142,7 +134,7 @@ impl Checkpoint {
         chain_head: Digest,
     ) -> Checkpoint {
         entries.sort_by(|a, b| a.tuple.cmp(&b.tuple).then(a.appeared_at.cmp(&b.appeared_at)));
-        let root = Self::merkle_root(&state_digest, &entries);
+        let root = Self::merkle_tree(&state_digest, &entries).root();
         let digest = Self::signed_digest(keys.node, epoch, at_seq, timestamp, &chain_head, &root);
         Checkpoint {
             node: keys.node,
@@ -202,8 +194,7 @@ impl Checkpoint {
     /// Produce a partial checkpoint: the entries whose tuples satisfy the
     /// predicate, each with a Merkle inclusion proof against `self.root`.
     pub fn partial(&self, select: impl Fn(&Tuple) -> bool) -> PartialCheckpoint {
-        let leaves = Self::merkle_leaves(&self.state_digest, &self.entries);
-        let tree = MerkleTree::build(leaves.iter().map(|v| v.as_slice()));
+        let tree = Self::merkle_tree(&self.state_digest, &self.entries);
         let mut selected = Vec::new();
         for (index, entry) in self.entries.iter().enumerate() {
             if select(&entry.tuple) {
@@ -228,7 +219,7 @@ impl Checkpoint {
         if self.pruned {
             return false;
         }
-        Self::merkle_root(&self.state_digest, &self.entries) == self.root
+        Self::merkle_tree(&self.state_digest, &self.entries).root() == self.root
     }
 
     /// Verify that `snapshot` is the exact state snapshot this checkpoint
@@ -323,7 +314,7 @@ mod tests {
         let mut cp = sealed(5);
         cp.state_digest = snp_crypto::hash(b"forged state");
         assert!(!cp.verify_root());
-        cp.root = Checkpoint::merkle_root(&cp.state_digest, &cp.entries);
+        cp.root = Checkpoint::merkle_tree(&cp.state_digest, &cp.entries).root();
         assert!(cp.verify_root());
         assert!(!cp.verify_signature(&keys().public));
     }
@@ -374,17 +365,6 @@ mod tests {
         let mut partial = cp.partial(|t| t.int_arg(0) == Some(3));
         partial.entries[0].0.tuple = Tuple::new("route", NodeId(1), vec![Value::Int(777)]);
         assert!(!partial.verify());
-    }
-
-    #[test]
-    fn streamed_root_matches_built_tree() {
-        let state = snp_crypto::hash(b"machine state");
-        for n in 0..=70 {
-            let entries = entries(n);
-            let leaves = Checkpoint::merkle_leaves(&state, &entries);
-            let built = MerkleTree::build(leaves.iter().map(|v| v.as_slice())).root();
-            assert_eq!(Checkpoint::merkle_root(&state, &entries), built, "{n} entries");
-        }
     }
 
     #[test]
