@@ -559,7 +559,7 @@ impl StateMachine for BgpSpeaker {
                 let prefix = r.str()?;
                 let route_tuple = r.tuple()?;
                 let hops = r.read_len()?;
-                let mut path = Vec::with_capacity(hops);
+                let mut path = r.vec_for(hops, std::mem::size_of::<NodeId>());
                 for _ in 0..hops {
                     path.push(r.node()?);
                 }

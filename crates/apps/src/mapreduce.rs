@@ -319,7 +319,7 @@ impl StateMachine for ReducerMachine {
             for _ in 0..words {
                 let word = r.str()?;
                 let count = r.read_len()?;
-                let mut tuples = Vec::with_capacity(count);
+                let mut tuples = r.vec_for(count, snp_datalog::snapshot::MIN_TUPLE_LEN);
                 for _ in 0..count {
                     tuples.push(r.tuple()?);
                 }

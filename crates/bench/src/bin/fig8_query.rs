@@ -76,7 +76,7 @@ fn report(name: &str, result: &QueryResult, widths: &[usize]) -> Json {
 
 fn quagga_disappear() -> QueryResult {
     let (mut tb, i, _j, prefix) = bgp::disappear_scenario(true, 3);
-    tb.enable_checkpoints(30_000_000);
+    tb.set_epoch_length(30_000_000);
     tb.run_until(SimTime::from_secs(20));
     bgp::disappear_trigger(&mut tb, SimTime::from_secs(25));
     tb.run_until(SimTime::from_secs(60));

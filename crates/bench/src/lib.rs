@@ -105,7 +105,7 @@ impl Config {
         let mut tb = self.build(secure, seed);
         if secure {
             // Periodic checkpoints every 30 simulated seconds (§5.6).
-            tb.enable_checkpoints(30_000_000);
+            tb.set_epoch_length(30_000_000);
         }
         tb.run_until(SimTime::from_secs(self.duration_s() + 30));
         RunMetrics::collect(&tb, self.duration_s())

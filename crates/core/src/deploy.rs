@@ -363,12 +363,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Alias for [`DeploymentBuilder::epoch_length`], named after what the
-    /// cadence produces.
-    pub fn checkpoints_every(self, interval: SimDuration) -> DeploymentBuilder {
-        self.epoch_length(interval)
-    }
-
     /// Keep the entries of at most `k` sealed epochs per node; older sealed
     /// segments are truncated while their checkpoints are kept, so per-node
     /// log storage plateaus instead of growing with total history (§5.6,
@@ -845,12 +839,6 @@ impl Deployment {
         self.evict_stale_audits(Staleness::All);
     }
 
-    /// Alias for [`Deployment::set_epoch_length`], named after what the
-    /// cadence produces.
-    pub fn enable_checkpoints(&mut self, interval_micros: u64) {
-        self.set_epoch_length(interval_micros);
-    }
-
     /// Keep the entries of at most `k` sealed epochs on every node (§5.6's
     /// truncation; checkpoints are kept so tamper evidence survives).
     /// Changes which windows future audits can anchor on, so every cached
@@ -1114,11 +1102,11 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_every_applies_to_all_nodes() {
+    fn epoch_length_applies_to_all_nodes() {
         let mut deployment = Deployment::builder()
             .seed(3)
             .app(Pair)
-            .checkpoints_every(SimDuration::from_millis(100))
+            .epoch_length(SimDuration::from_millis(100))
             .build();
         deployment.run_until(SimTime::from_secs(2));
         let bytes: usize = deployment

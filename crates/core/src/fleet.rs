@@ -138,7 +138,7 @@ fn read_wire(r: &mut SnapshotReader) -> Result<SnoopyWire, SnapshotError> {
         }),
         4 => {
             let n = r.read_len()?;
-            let mut messages = Vec::with_capacity(n);
+            let mut messages = r.vec_for(n, codec::MIN_MESSAGE_LEN);
             for _ in 0..n {
                 messages.push(codec::read_message(r)?);
             }
@@ -227,18 +227,12 @@ fn read_opt_u64(r: &mut SnapshotReader) -> Result<Option<u64>, SnapshotError> {
 
 fn write_bytes(w: &mut SnapshotWriter, bytes: &[u8]) {
     w.u64(bytes.len() as u64);
-    for b in bytes {
-        w.u8(*b);
-    }
+    w.bytes(bytes);
 }
 
 fn read_bytes(r: &mut SnapshotReader) -> Result<Vec<u8>, SnapshotError> {
     let n = r.read_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u8()?);
-    }
-    Ok(out)
+    Ok(r.bytes(n)?.to_vec())
 }
 
 fn write_anchor(w: &mut SnapshotWriter, anchor: &Option<(snp_log::Checkpoint, Vec<u8>)>) {
@@ -288,7 +282,7 @@ fn read_retrieve(r: &mut SnapshotReader) -> Result<RetrieveResponse, SnapshotErr
         tag => return Err(SnapshotError(format!("bad anchor-link tag {tag}"))),
     };
     let n = r.read_len()?;
-    let mut segments = Vec::with_capacity(n);
+    let mut segments = r.vec_for(n, codec::MIN_SEGMENT_LEN);
     for _ in 0..n {
         segments.push(codec::read_segment(r)?);
     }
@@ -412,7 +406,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<FleetFrame, SnapshotError> {
                 3 => AuditResponse::LogTotalAppended(r.u64()?),
                 4 => {
                     let n = r.read_len()?;
-                    let mut auths = Vec::with_capacity(n);
+                    let mut auths = r.vec_for(n, codec::AUTHENTICATOR_LEN);
                     for _ in 0..n {
                         auths.push(codec::read_authenticator(&mut r)?);
                     }

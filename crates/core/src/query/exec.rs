@@ -299,11 +299,17 @@ fn audit_uncached(
     // audit is downgraded to Yellow (suspect, never implicating) instead
     // of silently trusting the self-signed anchor.
     let mut window_start = (anchor_seq, anchor_head);
+    let mut heads: Vec<snp_crypto::Digest> = Vec::new();
+    let mut linked_machine = None;
     if color == Color::Black {
         match (&response.anchor, &response.anchor_link, &verifier) {
             (Some((anchor_cp, _)), Some(link), Some(verifier)) => {
                 match verify_anchor_link(verifier, machine.as_deref(), anchor_cp, link) {
-                    Ok(start) => window_start = start,
+                    Ok(linked) => {
+                        window_start = linked.start;
+                        heads = linked.heads;
+                        linked_machine = linked.machine;
+                    }
                     Err(reason) => {
                         notes.push(reason);
                         color = Color::Red;
@@ -331,17 +337,8 @@ fn audit_uncached(
     if color == Color::Black {
         let verifier = verifier.as_ref().expect("checked above");
         // Heads over the verified window, one per entry from
-        // `window_start.0` on: the linking epoch's (its chain was checked
-        // above, so the walk cannot fail here), then the suffix's.
-        let mut heads: Vec<snp_crypto::Digest> = Vec::new();
-        if let Some(link) = &response.anchor_link {
-            let _ = verifier.chain_span(
-                std::slice::from_ref(&link.segment),
-                window_start.0,
-                window_start.1,
-                |_, head| heads.push(head),
-            );
-        }
+        // `window_start.0` on: the linking epoch's, from the walk that
+        // verified the link, then the suffix's.
         heads.append(&mut suffix_heads);
         let head_at = |seq: u64| {
             let offset = usize::try_from(seq.checked_sub(window_start.0)?).ok()?;
@@ -380,23 +377,31 @@ fn audit_uncached(
     }
     stats.auth_check_seconds += consistency_started.elapsed().as_secs_f64();
 
-    // Deterministic replay through the worker's own expected machine,
-    // restored from the (digest-verified) snapshot when anchored.  Skipped
-    // when the evidence already failed verification: the graph would not be
-    // trustworthy and the node is red regardless.
+    // Deterministic replay through the worker's own expected machine, in
+    // the state the anchor committed to: the machine the linking replay
+    // left there, else one restored from the (digest-verified) snapshot.
+    // The linking machine's snapshot hashed to the anchor's signed
+    // `state_digest`, and so did the anchor snapshot, so the two hold the
+    // same bytes, and restoring a snapshot yields the machine that took it.
+    // Skipped when the evidence already failed verification: the graph
+    // would not be trustworthy and the node is red regardless.
     let replay_started = Instant::now();
     let mut replayed_entries = 0u64;
     let graph = match (machine, color) {
         (Some(machine), Color::Black) => {
-            let restored = match &response.anchor {
-                Some((_, snapshot)) => machine.restore(snapshot),
-                None => Ok(machine),
+            let restored = match (linked_machine, &response.anchor) {
+                (Some(linked), _) => Ok(linked),
+                (None, Some((_, snapshot))) => machine.restore(snapshot),
+                (None, None) => Ok(machine),
             };
             match restored {
                 Ok(machine) => {
                     replayed_entries = response.entry_count() as u64;
                     stats.replayed_entries += replayed_entries;
                     stats.skipped_entries += anchor_seq;
+                    // Count only the suffix's rule work: a linked machine
+                    // already carries the linking epoch's.
+                    let before = machine.eval_metrics();
                     let (graph, metrics) = replay::replay_suffix_traced(
                         node,
                         response.anchor.as_ref().map(|(cp, _)| cp),
@@ -404,7 +409,7 @@ fn audit_uncached(
                         &response.segments,
                         ctx.t_prop,
                     );
-                    for (id, eval) in &metrics.rules {
+                    for (id, eval) in &metrics.since(&before).rules {
                         stats.rule_evals.entry(id.clone()).or_default().merge(eval);
                     }
                     graph
@@ -454,19 +459,30 @@ fn audit_uncached(
     )
 }
 
+/// What a verified anchor link hands on to the rest of the audit.
+struct LinkedWindow {
+    /// The `(seq, head)` the verified window now starts at.
+    start: (u64, snp_crypto::Digest),
+    /// The chain head after every entry of the linking segment.
+    heads: Vec<snp_crypto::Digest>,
+    /// The expected machine after the linking replay, whose snapshot hashed
+    /// to the anchor's `state_digest`; `None` when there is no expected
+    /// machine or it takes no snapshots.
+    machine: Option<Box<dyn StateMachine>>,
+}
+
 /// Verify an anchor link (§5.6): the previous checkpoint must be validly
 /// signed with a matching snapshot, the linking segment must chain exactly
 /// from its head to the anchor's head over `prev.at_seq..anchor.at_seq`, and
 /// replaying the segment's *inputs* through the expected machine restored
 /// from the previous snapshot must reproduce the state digest the anchor
-/// committed to.  Returns the `(seq, head)` the verified window now starts
-/// at.
+/// committed to.
 fn verify_anchor_link(
     verifier: &SegmentVerifier,
     expected: Option<&dyn StateMachine>,
     anchor: &snp_log::Checkpoint,
     link: &crate::node::AnchorLink,
-) -> Result<(u64, snp_crypto::Digest), String> {
+) -> Result<LinkedWindow, String> {
     let (start_seq, start_head, machine) = match &link.prev {
         Some((prev, prev_snapshot)) => {
             if prev.epoch + 1 != anchor.epoch {
@@ -488,19 +504,31 @@ fn verify_anchor_link(
             (0, snp_crypto::Digest::ZERO, expected.map(|m| m.fresh()))
         }
     };
+    let mut heads = Vec::with_capacity(link.segment.entries.len());
     let (seq, head) = verifier
-        .chain_span(std::slice::from_ref(&link.segment), start_seq, start_head, |_, _| {})
+        .chain_span(std::slice::from_ref(&link.segment), start_seq, start_head, |_, head| {
+            heads.push(head)
+        })
         .map_err(|e| format!("anchor link: {e}"))?;
     if seq != anchor.at_seq || head != anchor.chain_head {
         return Err("anchor link: segment does not chain to the anchor head".into());
     }
-    if let Some(mut machine) = machine {
-        replay::apply_inputs(machine.as_mut(), &link.segment.entries);
-        if let Some(snapshot) = machine.snapshot() {
-            if snp_crypto::hash(&snapshot) != anchor.state_digest {
-                return Err("anchor link: checkpoint state is not reproducible from the previous epoch".into());
+    let machine = match machine {
+        Some(mut machine) => {
+            replay::apply_inputs(machine.as_mut(), &link.segment.entries);
+            match machine.snapshot() {
+                Some(snapshot) if snp_crypto::hash(&snapshot) != anchor.state_digest => {
+                    return Err("anchor link: checkpoint state is not reproducible from the previous epoch".into());
+                }
+                Some(_) => Some(machine),
+                None => None,
             }
         }
-    }
-    Ok((start_seq, start_head))
+        None => None,
+    };
+    Ok(LinkedWindow {
+        start: (start_seq, start_head),
+        heads,
+        machine,
+    })
 }

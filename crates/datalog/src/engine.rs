@@ -80,7 +80,7 @@
 use crate::analysis::{analyze, ProgramError};
 use crate::machine::{Polarity, SmInput, SmOutput, StateMachine, TupleDelta};
 use crate::rule::{AggKind, Atom, Bindings, Rule, RuleKind, Term};
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
+use crate::snapshot::{SnapshotReader, SnapshotWriter, MIN_TUPLE_LEN};
 use crate::store::{EvalMetrics, RuleEval, StoreSnapshot, Support, TupleStore};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -977,7 +977,7 @@ impl StateMachine for Engine {
                 let rule = r.str()?;
                 let head = r.tuple()?;
                 let body_len = r.read_len()?;
-                let mut body = Vec::with_capacity(body_len);
+                let mut body = r.vec_for(body_len, MIN_TUPLE_LEN);
                 for _ in 0..body_len {
                     body.push(r.tuple()?);
                 }
@@ -1354,6 +1354,56 @@ mod tests {
             assert_eq!(restored.handle(input.clone()), original.handle(input));
         }
         assert_eq!(restored.current_tuples(), original.current_tuples());
+
+        // The same over random histories, for both engines (the fleet demo's
+        // router is this engine on these rules): an anchored audit carries
+        // the machine its linking replay built into the suffix instead of
+        // restoring the anchor snapshot, which is sound only if the two
+        // behave alike.
+        for seed in 0..4u64 {
+            let mut rng = Rng(0x5eed_5a7e ^ seed);
+            let mut inserted = Vec::new();
+            let prefix: Vec<SmInput> = (0..60).map(|_| mincost_input(&mut rng, &mut inserted)).collect();
+            let suffix: Vec<SmInput> = (0..60).map(|_| mincost_input(&mut rng, &mut inserted)).collect();
+            let machines: [Box<dyn StateMachine>; 2] = [
+                Box::new(Engine::new(NodeId(1), mincost_rules())),
+                Box::new(NaiveEngine::new(NodeId(1), mincost_rules())),
+            ];
+            for machine in machines {
+                assert_restore_resumes(machine, &prefix, &suffix);
+            }
+        }
+    }
+
+    /// Feed `prefix` to `original`, then feed `suffix` both to it and to the
+    /// machine restored from its snapshot: outputs, tuples, snapshots and the
+    /// rule work counted over the suffix must agree at every step.
+    fn assert_restore_resumes(mut original: Box<dyn StateMachine>, prefix: &[SmInput], suffix: &[SmInput]) {
+        let name = original.name();
+        for input in prefix {
+            original.handle(input.clone());
+        }
+        let snapshot = original.snapshot().expect("engines take snapshots");
+        let mut restored = original.restore(&snapshot).expect("own snapshot restores");
+        let (original_before, restored_before) = (original.eval_metrics(), restored.eval_metrics());
+        for (step, input) in suffix.iter().enumerate() {
+            assert_eq!(
+                restored.handle(input.clone()),
+                original.handle(input.clone()),
+                "{name} step {step}: outputs diverge on {input:?}"
+            );
+            assert_eq!(
+                restored.current_tuples(),
+                original.current_tuples(),
+                "{name} step {step}"
+            );
+            assert_eq!(restored.snapshot(), original.snapshot(), "{name} step {step}");
+        }
+        assert_eq!(
+            restored.eval_metrics().since(&restored_before),
+            original.eval_metrics().since(&original_before),
+            "{name}: the suffix's rule work differs"
+        );
     }
 
     #[test]
@@ -1497,6 +1547,46 @@ mod tests {
         }
     }
 
+    /// A random mincost input for node 1: a link insert, a believed `cost`,
+    /// or the deletion of something in `inserted` (what was fed so far).
+    fn mincost_input(rng: &mut Rng, inserted: &mut Vec<SmInput>) -> SmInput {
+        match rng.below(4) {
+            // Delete or re-insert something we already fed in.
+            0 if !inserted.is_empty() => {
+                let pick = inserted[rng.below(inserted.len() as u64) as usize].clone();
+                match pick {
+                    SmInput::InsertBase(t) => SmInput::DeleteBase(t),
+                    SmInput::Receive { from, delta } => SmInput::Receive {
+                        from,
+                        delta: TupleDelta::minus(delta.tuple),
+                    },
+                    other => other,
+                }
+            }
+            1 => {
+                let input = SmInput::Receive {
+                    from: NodeId(2 + rng.below(2)),
+                    delta: TupleDelta::plus(Tuple::new(
+                        "cost",
+                        NodeId(1),
+                        vec![
+                            Value::node(rng.below(5)),
+                            Value::node(2 + rng.below(3)),
+                            Value::Int(1 + rng.below(9) as i64),
+                        ],
+                    )),
+                };
+                inserted.push(input.clone());
+                input
+            }
+            _ => {
+                let input = SmInput::InsertBase(link(1, 2 + rng.below(4), 1 + rng.below(9) as i64));
+                inserted.push(input.clone());
+                input
+            }
+        }
+    }
+
     /// Random mincost workload: the indexed engine and the retained naive
     /// scan engine must emit identical outputs, store identical tuples and
     /// encode identical snapshot bytes at every single step.
@@ -1508,41 +1598,7 @@ mod tests {
             let mut naive = NaiveEngine::new(NodeId(1), mincost_rules());
             let mut inserted: Vec<SmInput> = Vec::new();
             for step in 0..120 {
-                let input = match rng.below(4) {
-                    // Delete or re-insert something we already fed in.
-                    0 if !inserted.is_empty() => {
-                        let pick = inserted[rng.below(inserted.len() as u64) as usize].clone();
-                        match pick {
-                            SmInput::InsertBase(t) => SmInput::DeleteBase(t),
-                            SmInput::Receive { from, delta } => SmInput::Receive {
-                                from,
-                                delta: TupleDelta::minus(delta.tuple),
-                            },
-                            other => other,
-                        }
-                    }
-                    1 => {
-                        let input = SmInput::Receive {
-                            from: NodeId(2 + rng.below(2)),
-                            delta: TupleDelta::plus(Tuple::new(
-                                "cost",
-                                NodeId(1),
-                                vec![
-                                    Value::node(rng.below(5)),
-                                    Value::node(2 + rng.below(3)),
-                                    Value::Int(1 + rng.below(9) as i64),
-                                ],
-                            )),
-                        };
-                        inserted.push(input.clone());
-                        input
-                    }
-                    _ => {
-                        let input = SmInput::InsertBase(link(1, 2 + rng.below(4), 1 + rng.below(9) as i64));
-                        inserted.push(input.clone());
-                        input
-                    }
-                };
+                let input = mincost_input(&mut rng, &mut inserted);
                 let out_indexed = indexed.handle(input.clone());
                 let out_naive = naive.handle(input.clone());
                 assert_eq!(

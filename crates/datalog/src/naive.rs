@@ -22,7 +22,7 @@ use crate::analysis::ProgramError;
 use crate::engine::RuleSet;
 use crate::machine::{Polarity, SmInput, SmOutput, StateMachine, TupleDelta};
 use crate::rule::{AggKind, Bindings, Rule};
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
+use crate::snapshot::{SnapshotReader, SnapshotWriter, MIN_TUPLE_LEN};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use snp_crypto::keys::NodeId;
@@ -133,7 +133,7 @@ impl NaiveEngine {
                 let rule = r.str()?;
                 let head = r.tuple()?;
                 let body_len = r.read_len()?;
-                let mut body = Vec::with_capacity(body_len);
+                let mut body = r.vec_for(body_len, MIN_TUPLE_LEN);
                 for _ in 0..body_len {
                     body.push(r.tuple()?);
                 }

@@ -35,6 +35,14 @@ fn err(what: &str) -> SnapshotError {
     SnapshotError(what.to_string())
 }
 
+/// The shortest encoded [`Value`]: a tag byte and an 8-byte payload (an
+/// integer or node id, or the length of an empty string or list).
+pub const MIN_VALUE_LEN: usize = 9;
+
+/// The shortest encoded [`Tuple`]: relation length, location and argument
+/// count, 8 bytes each.
+pub const MIN_TUPLE_LEN: usize = 24;
+
 /// Append-only snapshot writer.
 #[derive(Default)]
 pub struct SnapshotWriter {
@@ -85,6 +93,12 @@ impl SnapshotWriter {
     /// Write a node id.
     pub fn node(&mut self, n: NodeId) {
         self.buf.extend_from_slice(&n.to_bytes());
+    }
+
+    /// Write raw bytes, with no length prefix (the inverse of
+    /// [`SnapshotReader::bytes`]).
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Write a length-prefixed string.
@@ -143,7 +157,13 @@ impl<'a> SnapshotReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Read the next `n` raw bytes, borrowed from the input.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or_else(|| err("length overflow"))?;
         if end > self.buf.len() {
             return Err(err("unexpected end of input"));
@@ -153,36 +173,44 @@ impl<'a> SnapshotReader<'a> {
         Ok(slice)
     }
 
-    /// Read a u64.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    /// An empty vector for `n` elements about to be decoded, reserving no
+    /// more than the remaining input could encode at `min_encoded_len` bytes
+    /// per element — a forged count then fails on its first missing element
+    /// instead of allocating for all of them.  `min_encoded_len` must be
+    /// non-zero.
+    pub fn vec_for<T>(&self, n: usize, min_encoded_len: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.remaining() / min_encoded_len))
     }
 
-    /// Read a length field and sanity-check it against the remaining input so
-    /// a forged snapshot cannot trigger huge allocations.
+    /// Read a u64.
+    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
+        Ok(u64::from_be_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// Read a length or element count and check it against the input still
+    /// to be read: every byte or element it announces takes at least one
+    /// byte, so a larger value is malformed.
     pub fn read_len(&mut self) -> Result<usize, SnapshotError> {
         let n = self.u64()?;
-        if n > self.buf.len() as u64 {
-            return Err(err("length exceeds input"));
-        }
-        // Lossless: bounded by `buf.len()`, itself a usize.
-        #[allow(clippy::cast_possible_truncation)]
-        Ok(n as usize)
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.remaining())
+            .ok_or_else(|| err("length exceeds remaining input"))
     }
 
     /// Read an i64.
     pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(i64::from_be_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
     }
 
     /// Read a u32.
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_be_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
     }
 
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Read a node id.
@@ -193,7 +221,7 @@ impl<'a> SnapshotReader<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, SnapshotError> {
         let n = self.read_len()?;
-        let bytes = self.take(n)?;
+        let bytes = self.bytes(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| err("invalid utf-8"))
     }
 
@@ -205,7 +233,7 @@ impl<'a> SnapshotReader<'a> {
             0x03 => Ok(Value::Node(self.node()?)),
             0x04 => {
                 let n = self.read_len()?;
-                let mut items = Vec::with_capacity(n);
+                let mut items = self.vec_for(n, MIN_VALUE_LEN);
                 for _ in 0..n {
                     items.push(self.value()?);
                 }
@@ -217,7 +245,7 @@ impl<'a> SnapshotReader<'a> {
 
     fn str_body(&mut self) -> Result<String, SnapshotError> {
         let n = self.read_len()?;
-        let bytes = self.take(n)?;
+        let bytes = self.bytes(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| err("invalid utf-8"))
     }
 
@@ -226,7 +254,7 @@ impl<'a> SnapshotReader<'a> {
         let relation = self.str()?;
         let location = self.node()?;
         let argc = self.read_len()?;
-        let mut args = Vec::with_capacity(argc);
+        let mut args = self.vec_for(argc, MIN_VALUE_LEN);
         for _ in 0..argc {
             args.push(self.value()?);
         }
@@ -305,6 +333,59 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapshotReader::new(&bytes);
         assert!(r.read_len().is_err());
+    }
+
+    #[test]
+    fn length_is_checked_against_the_remaining_input() {
+        let mut w = SnapshotWriter::new();
+        w.u64(3);
+        w.u64(9);
+        w.bytes(&[7; 8]);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
+        // 3 fits the 16 bytes still to be read; 9 does not fit the last 8,
+        // although it fits the 24-byte buffer as a whole.
+        assert_eq!(r.read_len(), Ok(3));
+        assert!(matches!(r.read_len(), Err(SnapshotError(_))));
+        // A count at the very end of the input announces nothing readable.
+        let mut w = SnapshotWriter::new();
+        w.u64(1);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
+        assert!(r.read_len().is_err(), "no byte remains after the count");
+        let mut r = SnapshotReader::new(&bytes[..0]);
+        assert!(r.read_len().is_err(), "no count at the end of the input");
+    }
+
+    #[test]
+    fn forged_counts_reserve_only_what_the_input_can_hold() {
+        // A list claiming one element per remaining byte passes `read_len`,
+        // but the values need 9 bytes each.
+        let mut w = SnapshotWriter::new();
+        w.u8(0x04);
+        w.u64(18);
+        w.bytes(&[0x01; 18]);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(r.u8(), Ok(0x04));
+        let n = r.read_len().unwrap();
+        let items: Vec<Value> = r.vec_for(n, MIN_VALUE_LEN);
+        assert_eq!((n, items.capacity()), (18, 2));
+        assert!(SnapshotReader::new(&bytes).value().is_err());
+    }
+
+    #[test]
+    fn raw_bytes_roundtrip_and_stay_bounded() {
+        let mut w = SnapshotWriter::new();
+        w.bytes(b"abc");
+        w.u8(1);
+        let bytes = w.finish();
+        assert_eq!(bytes, b"abc\x01");
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(r.bytes(3), Ok(&b"abc"[..]));
+        assert_eq!(r.remaining(), 1);
+        assert!(r.bytes(2).is_err());
+        assert!(r.bytes(usize::MAX).is_err());
     }
 
     #[test]

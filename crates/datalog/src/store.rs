@@ -538,6 +538,22 @@ impl EvalMetrics {
         }
     }
 
+    /// The work counted since `earlier`, an earlier reading of the same
+    /// machine's counters.  A rule that did no work in between has no entry,
+    /// as in a reading taken from a fresh or restored machine.
+    pub fn since(&self, earlier: &EvalMetrics) -> EvalMetrics {
+        let rules = self.rules.iter().filter_map(|(id, now)| {
+            let before = earlier.rules.get(id).copied().unwrap_or_default();
+            let delta = RuleEval {
+                fires: now.fires.saturating_sub(before.fires),
+                probes: now.probes.saturating_sub(before.probes),
+                candidates: now.candidates.saturating_sub(before.candidates),
+            };
+            (delta != RuleEval::default()).then(|| (id.clone(), delta))
+        });
+        EvalMetrics { rules: rules.collect() }
+    }
+
     /// Total rule firings across all rules.
     pub fn total_fires(&self) -> u64 {
         self.rules.values().map(|r| r.fires).sum()

@@ -19,7 +19,7 @@ use crate::entry::{EntryKind, LogEntry};
 use crate::log::LogSegment;
 use snp_crypto::sign::Signature;
 use snp_crypto::Digest;
-use snp_datalog::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use snp_datalog::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, MIN_TUPLE_LEN};
 use snp_datalog::{Polarity, TupleDelta};
 use snp_graph::history::{Message, MessageBody};
 
@@ -27,20 +27,35 @@ fn err(what: &str) -> SnapshotError {
     SnapshotError(what.to_string())
 }
 
-/// Write a 32-byte digest (big-endian limbs, matching the raw byte order).
+// The shortest encodings of the structures decoders read in counted runs,
+// which bound what a count read from untrusted input may reserve.
+
+/// The shortest encoded [`Message`]: four 8-byte header fields, the body
+/// tag and an empty-argument tuple.
+pub const MIN_MESSAGE_LEN: usize = 4 * 8 + 1 + MIN_TUPLE_LEN;
+
+/// The encoded size of an [`Authenticator`]: node, seq, timestamp, head and
+/// signature.
+pub const AUTHENTICATOR_LEN: usize = 3 * 8 + 32 + 16;
+
+/// The shortest encoded [`LogSegment`]: the header of an empty segment.
+pub const MIN_SEGMENT_LEN: usize = 3 * 8 + 32 + 8;
+
+/// The shortest length-prefixed entry inside an encoded segment: the
+/// length, then seq, timestamp, kind name and terminator.
+const MIN_ENTRY_RECORD_LEN: usize = 8 + 2 * 8 + 4;
+
+/// The shortest encoded [`CheckpointEntry`]: a tuple and its timestamp.
+const MIN_CHECKPOINT_ENTRY_LEN: usize = MIN_TUPLE_LEN + 8;
+
+/// Write a 32-byte digest (its raw bytes).
 pub fn write_digest(w: &mut SnapshotWriter, d: &Digest) {
-    for chunk in d.as_bytes().chunks(8) {
-        w.u64(u64::from_be_bytes(chunk.try_into().expect("8-byte chunk")));
-    }
+    w.bytes(d.as_bytes());
 }
 
 /// Read a 32-byte digest.
 pub fn read_digest(r: &mut SnapshotReader) -> Result<Digest, SnapshotError> {
-    let mut bytes = [0u8; 32];
-    for i in 0..4 {
-        bytes[i * 8..(i + 1) * 8].copy_from_slice(&r.u64()?.to_be_bytes());
-    }
-    Ok(Digest(bytes))
+    Ok(Digest(r.bytes(32)?.try_into().expect("32 bytes")))
 }
 
 /// Write a signature.
@@ -116,14 +131,11 @@ pub fn read_message(r: &mut SnapshotReader) -> Result<Message, SnapshotError> {
 pub fn read_entry(r: &mut SnapshotReader) -> Result<LogEntry, SnapshotError> {
     let seq = r.u64()?;
     let timestamp = r.u64()?;
-    let mut name = [0u8; 3];
-    for b in &mut name {
-        *b = r.u8()?;
-    }
+    let name = r.bytes(3)?;
     if r.u8()? != 0 {
         return Err(err("missing entry-kind terminator"));
     }
-    let kind = match &name {
+    let kind = match name {
         b"snd" => EntryKind::Snd {
             message: read_message(r)?,
         },
@@ -205,7 +217,7 @@ pub fn read_checkpoint(r: &mut SnapshotReader) -> Result<Checkpoint, SnapshotErr
         flag => return Err(err(&format!("bad pruned flag {flag}"))),
     };
     let count = r.read_len()?;
-    let mut entries = Vec::with_capacity(count);
+    let mut entries = r.vec_for(count, MIN_CHECKPOINT_ENTRY_LEN);
     for _ in 0..count {
         entries.push(CheckpointEntry {
             tuple: r.tuple()?,
@@ -234,11 +246,8 @@ pub fn write_segment(w: &mut SnapshotWriter, s: &LogSegment) {
     write_digest(w, &s.start_head);
     w.u64(s.entries.len() as u64);
     for entry in &s.entries {
-        let bytes = entry.encode();
-        w.u64(bytes.len() as u64);
-        for b in bytes {
-            w.u8(b);
-        }
+        w.u64(entry.encoded_len() as u64);
+        entry.encode_with(&mut |bytes| w.bytes(bytes));
     }
 }
 
@@ -249,14 +258,10 @@ pub fn read_segment(r: &mut SnapshotReader) -> Result<LogSegment, SnapshotError>
     let base_seq = r.u64()?;
     let start_head = read_digest(r)?;
     let count = r.read_len()?;
-    let mut entries = Vec::with_capacity(count);
+    let mut entries = r.vec_for(count, MIN_ENTRY_RECORD_LEN);
     for _ in 0..count {
         let len = r.read_len()?;
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        entries.push(decode_entry(&bytes)?);
+        entries.push(decode_entry(r.bytes(len)?)?);
     }
     Ok(LogSegment {
         node,
@@ -403,6 +408,74 @@ mod tests {
         let mut r = SnapshotReader::new(&bytes);
         assert_eq!(read_segment(&mut r).unwrap(), seg);
         assert!(r.is_exhausted());
+        // The layout: header, entry count, then each entry's length and its
+        // stable encoding (the bytes the hash chain links over).
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&seg.node.to_bytes());
+        expected.extend_from_slice(&seg.epoch.to_be_bytes());
+        expected.extend_from_slice(&seg.base_seq.to_be_bytes());
+        expected.extend_from_slice(seg.start_head.as_bytes());
+        expected.extend_from_slice(&(seg.entries.len() as u64).to_be_bytes());
+        for entry in &seg.entries {
+            let encoded = entry.encode();
+            expected.extend_from_slice(&(encoded.len() as u64).to_be_bytes());
+            expected.extend_from_slice(&encoded);
+        }
+        assert_eq!(bytes, expected);
+    }
+
+    #[test]
+    fn minimum_lengths_match_the_shortest_encodings() {
+        let mut w = SnapshotWriter::new();
+        let empty = Tuple::new("", NodeId(1), vec![]);
+        write_message(
+            &mut w,
+            &Message::delta(NodeId(1), NodeId(2), TupleDelta::plus(empty), 0, 0),
+        );
+        assert_eq!(w.finish().len(), MIN_MESSAGE_LEN);
+        let mut w = SnapshotWriter::new();
+        let keys = KeyPair::for_node(NodeId(3));
+        write_authenticator(&mut w, &Authenticator::issue(&keys, 5, 77, snp_crypto::hash(b"head")));
+        assert_eq!(w.finish().len(), AUTHENTICATOR_LEN);
+        let mut w = SnapshotWriter::new();
+        let seg = LogSegment {
+            node: NodeId(1),
+            epoch: 0,
+            base_seq: 0,
+            start_head: Digest::ZERO,
+            entries: Vec::new(),
+        };
+        write_segment(&mut w, &seg);
+        assert_eq!(w.finish().len(), MIN_SEGMENT_LEN);
+        let entry = LogEntry {
+            seq: 0,
+            timestamp: 0,
+            kind: EntryKind::Ins { tuple: tuple() },
+        };
+        assert!(8 + entry.encoded_len() >= MIN_ENTRY_RECORD_LEN);
+    }
+
+    #[test]
+    fn forged_segment_counts_fail_cleanly() {
+        let mut w = SnapshotWriter::new();
+        let seg = LogSegment {
+            node: NodeId(1),
+            epoch: 0,
+            base_seq: 0,
+            start_head: Digest::ZERO,
+            entries: Vec::new(),
+        };
+        write_segment(&mut w, &seg);
+        let mut bytes = w.finish();
+        let count_at = bytes.len() - 8;
+        // More entries than bytes left, then fewer bytes than entries need.
+        for (count, tail) in [(u64::MAX, 0), (1_000, 1_000)] {
+            bytes.truncate(count_at);
+            bytes.extend_from_slice(&count.to_be_bytes());
+            bytes.resize(count_at + 8 + tail, 0);
+            let mut r = SnapshotReader::new(&bytes);
+            assert!(matches!(read_segment(&mut r), Err(SnapshotError(_))), "count {count}");
+        }
     }
 
     #[test]

@@ -614,11 +614,7 @@ impl FileSegmentStore {
             0 => None,
             1 => {
                 let len = r.read_len().map_err(|e| Self::corrupt(&path, e.0))?;
-                let mut bytes = Vec::with_capacity(len);
-                for _ in 0..len {
-                    bytes.push(r.u8().map_err(|e| Self::corrupt(&path, e.0))?);
-                }
-                Some(bytes)
+                Some(r.bytes(len).map_err(|e| Self::corrupt(&path, e.0))?.to_vec())
             }
             flag => return Err(Self::corrupt(&path, format!("bad snapshot flag {flag}"))),
         };
@@ -761,9 +757,7 @@ impl SegmentStore for FileSegmentStore {
             Some(s) => {
                 w.u8(1);
                 w.u64(s.len() as u64);
-                for b in s {
-                    w.u8(*b);
-                }
+                w.bytes(s);
             }
             None => w.u8(0),
         }

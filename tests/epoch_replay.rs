@@ -5,13 +5,17 @@
 // Test code may unwrap: a panic is the assertion.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
-use snp::apps::chord::{self, ChordScenario};
+use snp::apps::bgp::{self, BgpSpeaker, Relation};
+use snp::apps::chord::{self, ChordMachine, ChordScenario};
+use snp::apps::mapreduce::{self, MapperMachine, ReducerMachine};
 use snp::apps::mincost::{self, link, MinCost};
 use snp::core::deploy::Deployment;
 use snp::core::properties;
 use snp::core::ByzantineConfig;
 use snp::crypto::keys::NodeId;
+use snp::datalog::{SmInput, StateMachine, Tuple, TupleDelta};
 use snp::graph::Color;
+use snp::sim::rng::DetRng;
 use snp::sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 
@@ -323,5 +327,120 @@ fn truncation_plateaus_log_growth_and_keeps_forensics_inside_the_window() {
         }
         let audit = tb.querier.audit(id);
         assert_eq!(audit.color, Color::Black, "{id}: {:?}", audit.notes);
+    }
+}
+
+/// Feed `prefix` to `original`, then feed `suffix` both to it and to the
+/// machine restored from its snapshot: outputs, tuples, snapshots and the
+/// rule work counted over the suffix must agree at every step.  Anchored
+/// audits rely on this: they carry the machine the linking replay built
+/// into the suffix instead of restoring the anchor snapshot.
+fn assert_restore_resumes(mut original: Box<dyn StateMachine>, prefix: &[SmInput], suffix: &[SmInput]) {
+    let name = original.name();
+    for input in prefix {
+        original.handle(input.clone());
+    }
+    let snapshot = original.snapshot().expect("shipped machines take snapshots");
+    let mut restored = original.restore(&snapshot).expect("own snapshot restores");
+    let (original_before, restored_before) = (original.eval_metrics(), restored.eval_metrics());
+    for (step, input) in suffix.iter().enumerate() {
+        assert_eq!(
+            restored.handle(input.clone()),
+            original.handle(input.clone()),
+            "{name} step {step}: outputs diverge on {input:?}"
+        );
+        assert_eq!(
+            restored.current_tuples(),
+            original.current_tuples(),
+            "{name} step {step}"
+        );
+        assert_eq!(restored.snapshot(), original.snapshot(), "{name} step {step}");
+    }
+    assert_eq!(
+        restored.eval_metrics().since(&restored_before),
+        original.eval_metrics().since(&original_before),
+        "{name}: the suffix's rule work differs"
+    );
+}
+
+fn receive(from: NodeId, tuple: Tuple) -> SmInput {
+    SmInput::Receive {
+        from,
+        delta: TupleDelta::plus(tuple),
+    }
+}
+
+/// The application machines keep the restore contract over random input
+/// histories (the rule engines are covered by the engine's own test).
+#[test]
+fn app_machines_resume_identically_after_restore() {
+    let n = NodeId(1);
+    let peers = [NodeId(2), NodeId(3), NodeId(4)];
+    let prefixes = ["10.0.0.0/8", "10.1.0.0/16", "192.168.0.0/16"];
+    let corpus = mapreduce::generate_corpus(16, 6, 7);
+    let words: Vec<&str> = corpus.iter().flat_map(|text| text.split_whitespace()).collect();
+    for seed in 0..4u64 {
+        let mut rng = DetRng::new(seed);
+        let chord_input = |rng: &mut DetRng| {
+            let key = rng.next_below(chord::ID_SPACE);
+            let peer = peers[rng.next_below(3) as usize];
+            let seq = rng.next_below(50);
+            match rng.next_below(6) {
+                0 => SmInput::InsertBase(chord::lookup(n, key, n, seq)),
+                1 => receive(peer, chord::lookup(n, key, peer, seq)),
+                2 => SmInput::InsertBase(chord::tick(
+                    ["stabTick", "keepTick", "fixTick"][(seq % 3) as usize],
+                    n,
+                    seq,
+                )),
+                3 => SmInput::InsertBase(chord::succ(n, key, peer)),
+                4 => SmInput::InsertBase(chord::finger(n, (seq % 8) as u32, key, peer)),
+                _ => SmInput::DeleteBase(chord::succ(n, key, peer)),
+            }
+        };
+        let bgp_input = |rng: &mut DetRng| {
+            let prefix = prefixes[rng.next_below(3) as usize];
+            let from = peers[rng.next_below(3) as usize];
+            let relation = [Relation::Customer, Relation::Peer, Relation::Provider][rng.next_below(3) as usize];
+            let path: Vec<NodeId> = (0..1 + rng.next_below(3))
+                .map(|_| NodeId(5 + rng.next_below(6)))
+                .collect();
+            match rng.next_below(6) {
+                0 => SmInput::InsertBase(bgp::originate(n, prefix)),
+                1 => SmInput::InsertBase(bgp::neighbor(n, from, relation)),
+                2 => SmInput::DeleteBase(bgp::neighbor(n, from, relation)),
+                3 => SmInput::InsertBase(bgp::prefer(n, prefix, from)),
+                4 => SmInput::Receive {
+                    from,
+                    delta: TupleDelta::minus(bgp::adv_route(n, prefix, &path, from)),
+                },
+                _ => receive(from, bgp::adv_route(n, prefix, &path, from)),
+            }
+        };
+        let mapper_input = |rng: &mut DetRng| {
+            let split = rng.next_below(corpus.len() as u64) as usize;
+            SmInput::InsertBase(mapreduce::map_input(n, split as i64, &corpus[split]))
+        };
+        let reducer_input = |rng: &mut DetRng| {
+            let word = words[rng.next_below(words.len() as u64) as usize];
+            let mapper = peers[rng.next_below(3) as usize];
+            let count = 1 + rng.next_below(4) as i64;
+            receive(
+                mapper,
+                mapreduce::shuffle(n, word, count, mapper, rng.next_below(16) as i64),
+            )
+        };
+        let mut check = |machine: Box<dyn StateMachine>, setup: &[SmInput], input: &dyn Fn(&mut DetRng) -> SmInput| {
+            let mut prefix = setup.to_vec();
+            prefix.extend((0..40).map(|_| input(&mut rng)));
+            let suffix: Vec<SmInput> = (0..40).map(|_| input(&mut rng)).collect();
+            assert_restore_resumes(machine, &prefix, &suffix);
+        };
+        // Chord needs its own id before it answers anything.
+        let chord_setup = [SmInput::InsertBase(chord::me(n, chord::chord_id(n)))];
+        check(Box::new(ChordMachine::new(n)), &chord_setup, &chord_input);
+        check(Box::new(BgpSpeaker::new(n)), &[], &bgp_input);
+        check(Box::new(MapperMachine::new(n, peers.to_vec())), &[], &mapper_input);
+        check(Box::new(ReducerMachine::new(n)), &[], &reducer_input);
     }
 }
